@@ -205,10 +205,8 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   std::vector<ExecProfile::DigramRank> Digrams = InterpProf.rankedDigrams();
-  std::printf("engine observatory: %llu dispatches (%llu in fused pairs)",
-              static_cast<unsigned long long>(InterpProf.dispatches()),
-              static_cast<unsigned long long>(2 *
-                                              InterpProf.fusedDispatches()));
+  std::printf("engine observatory: %llu dispatches",
+              static_cast<unsigned long long>(InterpProf.dispatches()));
   if (!Digrams.empty())
     std::printf(", hottest digram %s;%s (%llu pairs)",
                 irOpName(Digrams.front().A), irOpName(Digrams.front().B),
@@ -245,7 +243,6 @@ int main(int Argc, char **Argv) {
   // the other wall numbers as wall.exec.* (outside the deterministic
   // projection, like every wall figure).
   InterpProf.exportMetrics(R.metrics());
-  InterpProf.exportFusionMetrics(R.metrics());
   R.setWallScalar("exec.sample_epochs",
                   static_cast<double>(InterpProf.wall().Epochs));
   R.setWallScalar("exec.sampled_dispatches",

@@ -2,6 +2,8 @@
 
 #include "lang/Parser.h"
 
+#include "sem/Limits.h"
+
 using namespace zam;
 
 Parser::Parser(std::string Source, const SecurityLattice &Lat,
@@ -39,6 +41,16 @@ bool Parser::expect(TokKind Kind, const char *Context) {
                               " " + Context + ", found " +
                               tokKindName(peek().Kind));
   return false;
+}
+
+bool Parser::tooDeep() {
+  if (Depth <= kMaxNestingDepth)
+    return false;
+  Diags.error(peek().Loc, "nesting exceeds the limit of " +
+                              std::to_string(kMaxNestingDepth) +
+                              " levels (blocks, parentheses, indices and "
+                              "unary operators)");
+  return true;
 }
 
 std::optional<Label> Parser::parseLabelName() {
@@ -117,6 +129,12 @@ bool Parser::parseDecl(Program &P) {
       Diags.error(Loc, "array size must be positive");
       return false;
     }
+    if (static_cast<uint64_t>(Size) > kMaxArrayElements) {
+      Diags.error(Loc, "array '" + D.Name + "' declares " +
+                           std::to_string(Size) + " elements; the limit is " +
+                           std::to_string(kMaxArrayElements));
+      return false;
+    }
     D.IsArray = true;
     D.Size = static_cast<uint64_t>(Size);
     if (!expect(TokKind::RBracket, "to close the array size"))
@@ -172,7 +190,8 @@ bool Parser::parseDecl(Program &P) {
 }
 
 CmdPtr Parser::parseBlock() {
-  if (!expect(TokKind::LBrace, "to open a block"))
+  NestingScope Nest(*this);
+  if (tooDeep() || !expect(TokKind::LBrace, "to open a block"))
     return nullptr;
   CmdPtr C = parseCmd();
   if (!C)
@@ -300,19 +319,26 @@ CmdPtr Parser::parseSimpleCmd() {
 }
 
 CmdPtr Parser::parseCmd() {
-  CmdPtr First = parseSimpleCmd();
-  if (!First)
-    return nullptr;
-  if (!accept(TokKind::Semi))
-    return First;
-  // Allow a trailing semicolon before '}' or end of input.
-  if (check(TokKind::RBrace) || check(TokKind::Eof))
-    return First;
-  SourceLoc Loc = First->loc();
-  CmdPtr Rest = parseCmd();
-  if (!Rest)
-    return nullptr;
-  return std::make_unique<SeqCmd>(std::move(First), std::move(Rest), Loc);
+  // A sequence nests to the right in the AST but is read iteratively, so
+  // program length never counts as parser nesting.
+  std::vector<CmdPtr> Cmds;
+  for (;;) {
+    CmdPtr C = parseSimpleCmd();
+    if (!C)
+      return nullptr;
+    Cmds.push_back(std::move(C));
+    if (!accept(TokKind::Semi))
+      break;
+    // Allow a trailing semicolon before '}' or end of input.
+    if (check(TokKind::RBrace) || check(TokKind::Eof))
+      break;
+  }
+  CmdPtr Rest = std::move(Cmds.back());
+  for (size_t I = Cmds.size() - 1; I-- != 0;) {
+    SourceLoc Loc = Cmds[I]->loc();
+    Rest = std::make_unique<SeqCmd>(std::move(Cmds[I]), std::move(Rest), Loc);
+  }
+  return Rest;
 }
 
 //===----------------------------------------------------------------------===//
@@ -373,6 +399,9 @@ ExprPtr Parser::parseBinary(int MinPrec) {
 }
 
 ExprPtr Parser::parseUnary() {
+  NestingScope Nest(*this);
+  if (tooDeep())
+    return nullptr;
   SourceLoc Loc = peek().Loc;
   if (accept(TokKind::Minus)) {
     ExprPtr Sub = parseUnary();

@@ -74,10 +74,21 @@ private:
   ExprPtr parseUnary();
   ExprPtr parsePrimary();
 
+  /// Holds one level of syntactic nesting for its lifetime.
+  struct NestingScope {
+    explicit NestingScope(Parser &P) : P(P) { ++P.Depth; }
+    ~NestingScope() { --P.Depth; }
+    Parser &P;
+  };
+  /// Whether the current nesting exceeds kMaxNestingDepth; diagnoses it at
+  /// the current token when it does.
+  bool tooDeep();
+
   const SecurityLattice &Lat;
   DiagnosticEngine &Diags;
   std::vector<Token> Toks;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< Current syntactic nesting (see NestingScope).
 };
 
 /// Convenience wrapper: lex+parse \p Source, returning the program or

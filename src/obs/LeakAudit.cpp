@@ -86,16 +86,37 @@ bool LeakAudit::replay(TraceReader &Reader, std::string &Err) {
   // one window can bump Miss[ℓ] several times (each doubling epoch the
   // body outran), so the span's boolean mispredicted flag is not enough —
   // settle() on the recorded estimate and consumed time reproduces the
-  // exact increment count. exportTrace always emits every mitigate span,
-  // so replay order reproduces the online table; the recomputed padded
-  // duration is checked against the recorded one to catch a policy or
-  // penalty-granularity mismatch.
+  // exact increment count. The recomputed padded duration is checked
+  // against the recorded one to catch a policy or penalty-granularity
+  // mismatch. Spans are settled in the run's completion order.
   MitigationState State(Lat, Policies.base(), PenaltyPolicy::PerLevel);
+  struct PendingSpan {
+    std::string Name;
+    MitigateRecord M;
+  };
+  CompletionOrder<PendingSpan> Order;
+  auto Settle = [&](PendingSpan &S) {
+    MitigateRecord &M = S.M;
+    const MitigationState::Outcome Out =
+        State.settle(M.Estimate, M.Level, M.BodyTime, Policies.forSite(M.Eta));
+    if (Out.Duration != M.Duration || Out.Mispredicted != M.Mispredicted) {
+      Err = "mitigate span '" + S.Name +
+            "' diverges from the replayed schedule (policy or penalty "
+            "mismatch)";
+      return false;
+    }
+    M.MissesAfter = State.misses(M.Level);
+    onWindow(M);
+    return true;
+  };
+
   TraceRecord R;
   while (Reader.next(R)) {
     if (R.RecordKind != TraceRecord::Kind::Span || R.Category != "mit")
       continue;
-    MitigateRecord M;
+    PendingSpan S;
+    S.Name = R.Name;
+    MitigateRecord &M = S.M;
     const size_t Hash = R.Name.rfind('#');
     if (Hash != std::string::npos)
       M.Eta = static_cast<unsigned>(
@@ -126,17 +147,11 @@ bool LeakAudit::replay(TraceReader &Reader, std::string &Err) {
     M.PcLabel = *Pc;
     M.Start = R.Ts;
     M.Duration = R.Dur;
-    const MitigationState::Outcome Out =
-        State.settle(M.Estimate, M.Level, M.BodyTime, Policies.forSite(M.Eta));
-    if (Out.Duration != M.Duration || Out.Mispredicted != M.Mispredicted) {
-      Err = "mitigate span '" + R.Name +
-            "' diverges from the replayed schedule (policy or penalty "
-            "mismatch)";
+    if (!Order.push(R.Ts + R.Dur, std::move(S), Settle))
       return false;
-    }
-    M.MissesAfter = State.misses(M.Level);
-    onWindow(M);
   }
+  if (!Order.flush(Settle))
+    return false;
   if (!Reader.ok()) {
     Err = Reader.error();
     return false;

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace zam {
@@ -93,6 +94,41 @@ struct LeakWindow {
   const MitigationPolicy *Policy = nullptr;
 };
 
+/// Restores completion order to mitigate-window spans read back in start
+/// order (the order exported traces list them). The run settles a nested
+/// window before the window enclosing it, and the leakage sums must follow
+/// that order to stay bit-identical. Windows nest properly, so the spans
+/// still open form a chain: a held span can be released as soon as a span
+/// arrives that ends later, and at most nesting-depth spans are held.
+template <typename SpanT> class CompletionOrder {
+public:
+  /// Accepts \p S, which ends at \p End (spans must arrive in start
+  /// order), after passing every held span that ends earlier to \p Settle,
+  /// innermost first. An equal end means \p S is nested, so it stays ahead.
+  /// Stops and returns false as soon as \p Settle does.
+  template <typename Fn> bool push(uint64_t End, SpanT S, Fn &&Settle) {
+    while (!Open.empty() && Open.back().first < End) {
+      if (!Settle(Open.back().second))
+        return false;
+      Open.pop_back();
+    }
+    Open.emplace_back(End, std::move(S));
+    return true;
+  }
+
+  /// Passes every held span to \p Settle, innermost first.
+  template <typename Fn> bool flush(Fn &&Settle) {
+    for (; !Open.empty(); Open.pop_back())
+      if (!Settle(Open.back().second))
+        return false;
+    return true;
+  }
+
+private:
+  /// (end, span) pairs, innermost last.
+  std::vector<std::pair<uint64_t, SpanT>> Open;
+};
+
 /// Maintains per-security-level running leakage bounds. Feed it windows
 /// online (onWindow, from the interpreter hook) or replay a finished trace
 /// (ingest) — both orders of arrival are the trace order, so the double
@@ -123,10 +159,12 @@ public:
   void ingest(const Trace &T);
 
   /// Replays mitigate spans (cat "mit") pulled from \p Reader through
-  /// onWindow — single-pass and O(1) memory (with retention off), over any
-  /// on-disk trace format. The per-level Miss table is rebuilt from the
-  /// spans' mispredicted flags, so the resulting accounts are bit-identical
-  /// to the online run's. \returns false with \p Err set on a malformed
+  /// onWindow in completion order (a nested window before the one that
+  /// encloses it, as the run settled them) — single-pass, with memory
+  /// bounded by the window nesting depth (with retention off), over any
+  /// on-disk trace format. The per-level Miss table is rebuilt by
+  /// re-settling each span, so the resulting accounts are bit-identical to
+  /// the online run's. \returns false with \p Err set on a malformed
   /// span or a stream decode error.
   bool replay(TraceReader &Reader, std::string &Err);
 

@@ -2,22 +2,11 @@
 
 #include "sem/ExecCore.h"
 
-#include "ir/Fusion.h"
 #include "support/Diagnostics.h"
 
 using namespace zam;
 
-// Computed-goto dispatch needs the GNU labels-as-values extension; MSVC
-// (and any build configured with -DZAM_THREADED_DISPATCH=OFF) uses the
-// portable switch loop. Both loops are always compiled and behave
-// identically; this only selects what run() can pick.
-#if defined(ZAM_THREADED_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-#define ZAM_HAVE_THREADED 1
-#else
-#define ZAM_HAVE_THREADED 0
-#endif
-
-bool zam::threadedDispatchAvailable() { return ZAM_HAVE_THREADED != 0; }
+bool zam::threadedDispatchAvailable() { return false; }
 
 int64_t zam::evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
                         Label Read, Label Write, const CostModel &Costs,
@@ -73,15 +62,6 @@ int64_t zam::evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
   return SP[-1];
 }
 
-std::unique_ptr<LirProgram> zam::compileLir(const IrProgram &IR,
-                                            const InterpreterOptions &Opts) {
-  auto L = std::make_unique<LirProgram>(lowerToLir(IR));
-  if (Opts.Fusion)
-    planFusion(*L, Opts.FuseProfile ? *Opts.FuseProfile
-                                    : FusionProfile::defaultProfile());
-  return L;
-}
-
 ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
                    MachineEnv &Env, const InterpreterOptions &Opts)
     : P(P), Env(Env), Opts(Opts), Probe(this->Opts.Probe),
@@ -90,10 +70,8 @@ ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
       M(std::move(InitM)),
       OwnMitState(P.lattice(), this->Opts.Mitigation.base(), Opts.Penalty),
       MitState(Opts.SharedMitState ? *Opts.SharedMitState : OwnMitState),
-      Code(L.Insts.data()), Uops(L.Uops.data()), Fused(L.FusedWith.data()),
-      TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr),
-      UseThreaded(ZAM_HAVE_THREADED != 0 &&
-                  Opts.Dispatch != DispatchMode::Switch) {
+      Code(L.Insts.data()), Uops(L.Uops.data()),
+      TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr) {
   Regs.resize(L.NumRegs ? L.NumRegs : 1);
   SlotData.resize(M.slotCount());
   for (size_t I = 0; I != SlotData.size(); ++I)
@@ -357,108 +335,8 @@ void ExecCore::step() {
 }
 
 void ExecCore::run() {
-  if (UseThreaded)
-    runThreaded();
-  else
-    runSwitch();
-}
-
-// Both loops follow the exact transition discipline of step(): increment
-// and check the step counter, execute one logical instruction, stop when
-// the pc lands on Halt — with two additions that change no observable:
-// fused heads fire one onFused callback and execute both constituents in
-// one loop iteration (the limit check still sits between them), and the
-// loop exits once instead of re-checking Halted per transition.
-
-void ExecCore::runSwitch() {
-  if (Halted)
-    return;
-  for (;;) {
-    if (++T.Steps > StepLimit) {
-      T.HitStepLimit = true;
-      break;
-    }
-    const uint32_t Second = Fused[PC];
-    if (Second != LirProgram::kNoFuse) {
-      if (Probe)
-        Probe->onFused(PC, Second);
-      // The head is straightline (planFusion guarantees it), so after it
-      // executes the pc sits exactly on Second.
-      execInstr(Code[PC]);
-      if (++T.Steps > StepLimit) {
-        T.HitStepLimit = true;
-        break;
-      }
-      execInstr(Code[PC]);
-    } else {
-      execInstr(Code[PC]);
-    }
-    if (Code[PC].K == IrInstr::Op::Halt)
-      break;
-  }
-  Halted = true;
-  finalize();
-}
-
-void ExecCore::runThreaded() {
-#if ZAM_HAVE_THREADED
-  if (Halted)
-    return;
-  // Indexed by IrInstr::Op. Halt's slot is the exit path, though the
-  // dispatch macro peels it off before indexing (a fused head can never
-  // be followed by Halt, so only the macro needs the test).
-  static const void *const Handlers[] = {
-      &&L_Skip, &&L_Assign, &&L_Store,    &&L_Branch,
-      &&L_Sleep, &&L_MitEnter, &&L_MitEnd, &&L_Halt};
-#define ZAM_DISPATCH()                                                         \
-  do {                                                                         \
-    if (Code[PC].K == IrInstr::Op::Halt)                                       \
-      goto L_Halt;                                                             \
-    if (++T.Steps > StepLimit)                                            \
-      goto L_Limit;                                                            \
-    if (Fused[PC] != LirProgram::kNoFuse)                                      \
-      goto L_Fused;                                                            \
-    goto *Handlers[static_cast<uint8_t>(Code[PC].K)];                          \
-  } while (0)
-  ZAM_DISPATCH();
-L_Skip:
-  execSkip(Code[PC]);
-  ZAM_DISPATCH();
-L_Assign:
-  execAssign(Code[PC]);
-  ZAM_DISPATCH();
-L_Store:
-  execStore(Code[PC]);
-  ZAM_DISPATCH();
-L_Branch:
-  execBranch(Code[PC]);
-  ZAM_DISPATCH();
-L_Sleep:
-  execSleep(Code[PC]);
-  ZAM_DISPATCH();
-L_MitEnter:
-  execMitEnter(Code[PC]);
-  ZAM_DISPATCH();
-L_MitEnd:
-  execMitEnd(Code[PC]);
-  ZAM_DISPATCH();
-L_Fused:
-  if (Probe)
-    Probe->onFused(PC, Fused[PC]);
-  execInstr(Code[PC]);
-  if (++T.Steps > StepLimit)
-    goto L_Limit;
-  execInstr(Code[PC]);
-  ZAM_DISPATCH();
-L_Limit:
-  T.HitStepLimit = true;
-L_Halt:
-  Halted = true;
-  finalize();
-#undef ZAM_DISPATCH
-#else
-  runSwitch();
-#endif
+  while (!Halted)
+    step();
 }
 
 void ExecCore::finalize() {

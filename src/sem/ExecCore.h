@@ -26,20 +26,10 @@
 ///     moves exactly as in the tree engines, so ledgers and miss samples
 ///     are byte-for-byte identical.
 ///
-/// run() executes through one of two dispatch loops — computed-goto
-/// threaded code when the build carries it (ZAM_THREADED_DISPATCH), a
-/// portable switch loop otherwise — and realizes the program's fusion
-/// plan: a pc heading a fused pair dispatches both constituents in one
-/// loop iteration. Observability is at *logical* granularity throughout:
-/// each constituent still charges, traces and probes individually (plus
-/// one additive ExecProbe::onFused per realized pair), and the step-limit
-/// check sits between constituents, so every observable is bit-identical
-/// across {threaded, switch} × {fusion on, off} × {run, step}.
-///
-/// step() executes exactly one logical transition through the de-fused
-/// instruction table, ignoring the fusion plan — that is what makes the
-/// Step engine's cursor resumable at any pc, including the middle of a
-/// superinstruction.
+/// step() executes exactly one logical transition (one instruction);
+/// run() is nothing but the step() loop, so the big-step and small-step
+/// drivers share a single transition discipline and every observable is
+/// bit-identical whichever drives the core.
 ///
 /// The LIR is immutable; the core holds all run state, so engines stay
 /// thin wrappers that only decide when to call step()/run() and when to
@@ -60,7 +50,6 @@
 #include "sem/Mitigation.h"
 #include "sem/Provenance.h"
 
-#include <memory>
 #include <vector>
 
 namespace zam {
@@ -78,12 +67,6 @@ int64_t evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
                    uint64_t &Cycles, CostCursor *Cur = nullptr,
                    int64_t *Stack = nullptr);
 
-/// Lowers \p IR to the LIR tier and overlays the fusion plan the options
-/// select (Opts.Fusion / Opts.FuseProfile). The shared second lowering
-/// stage both engines run at construction.
-std::unique_ptr<LirProgram> compileLir(const IrProgram &IR,
-                                       const InterpreterOptions &Opts);
-
 class ExecCore final : public HwObserver {
 public:
   /// Executes \p L (which, with its IR tier, must outlive the core) with
@@ -96,14 +79,12 @@ public:
   /// limit).
   bool done() const { return Halted; }
 
-  /// Performs exactly one logical transition (one instruction) through the
-  /// de-fused table. No-op when done.
+  /// Performs exactly one logical transition (one instruction). No-op when
+  /// done.
   void step();
 
-  /// Runs to completion through the fused dispatch loop (the big-step
-  /// driver's tight loop). Interleaves with step(): resuming run() from
-  /// any pc — including a superinstruction's second constituent — is
-  /// sound because fused heads are re-checked per dispatch.
+  /// Runs to completion: step() until done. Interleaves freely with
+  /// step().
   void run();
 
   Memory &memory() { return M; }
@@ -135,11 +116,6 @@ private:
   /// One logical transition of the instruction at \p I (a switch over the
   /// bodies above). Never called on Halt.
   void execInstr(const LirInst &I);
-
-  /// The two run loops. Identical observable behavior; runThreaded exists
-  /// only when the build carries computed-goto dispatch.
-  void runSwitch();
-  void runThreaded();
 
   void finalize();
   void head(const LirInst &I) {
@@ -193,9 +169,8 @@ private:
   Memory M;
   MitigationState OwnMitState;
   MitigationState &MitState;
-  const LirInst *Code;   ///< The logical (de-fused) instruction array.
-  const LirUop *Uops;    ///< The shared micro-op pool.
-  const uint32_t *Fused; ///< The fusion plan (FusedWith).
+  const LirInst *Code; ///< The logical instruction array.
+  const LirUop *Uops;  ///< The shared micro-op pool.
   Trace T;
   uint64_t G = 0;
   uint32_t PC = 0;
@@ -203,8 +178,6 @@ private:
   /// Cursor maintenance is skipped when nothing observes it (no sink, no
   /// miss sampling) — the cursor is only visible through those channels.
   bool TrackCursor;
-  /// Whether run() uses the threaded loop (build support ∧ Opts.Dispatch).
-  bool UseThreaded;
   CostCursor Cur;
   std::vector<MitFrame> Frames;
   std::vector<int64_t> Regs; ///< The micro-op register file (NumRegs).

@@ -13,7 +13,7 @@ FullInterpreter::FullInterpreter(const Program &P, MachineEnv &Env,
     : Env(Env), Opts(Opts),
       IR(std::make_unique<IrProgram>(
           lowerProgram(P, Opts.Costs, Opts.Mitigation))),
-      LIR(compileLir(*IR, Opts)),
+      LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
       Core(std::make_unique<ExecCore>(
           *LIR, P, Memory::fromProgram(P, Opts.Costs.DataBase), Env, Opts)) {}
 

@@ -44,22 +44,11 @@
 namespace zam {
 
 class ExecCore;
-class FusionProfile;
 struct IrProgram;
 struct LirProgram;
 
-/// How the execution core dispatches LIR instructions. Purely a
-/// wall-clock knob: every mode produces bit-identical traces, ledgers and
-/// exec.* profiles (the differential tests enforce this).
-enum class DispatchMode : uint8_t {
-  Auto,     ///< Threaded when the build carries it, else switch.
-  Threaded, ///< Computed-goto loop (falls back to switch when unavailable).
-  Switch,   ///< The portable switch loop.
-};
-
-/// Whether this build carries the computed-goto threaded dispatch loop
-/// (ZAM_THREADED_DISPATCH on a compiler with labels-as-values). When
-/// false, DispatchMode::Threaded silently degrades to the switch loop.
+/// Always false: the execution core has a single dispatch loop. Kept only
+/// because the layer ledger's build fingerprint prints it.
 bool threadedDispatchAvailable();
 
 /// Knobs shared by both full-semantics engines.
@@ -102,16 +91,6 @@ struct InterpreterOptions {
   /// observational: attaching a probe never changes costs, the trace, or
   /// the leakage ledger. Not owned.
   ExecProbe *Probe = nullptr;
-  /// Superinstruction fusion over the LIR tier (ir/Fusion.h). A dispatch
-  /// optimization only — fused runs observe exactly what unfused runs do;
-  /// off mainly for differential testing and debugging.
-  bool Fusion = true;
-  /// The digram profile driving fusion; null uses
-  /// FusionProfile::defaultProfile(). Borrowed, must outlive the engine.
-  const FusionProfile *FuseProfile = nullptr;
-  /// Which dispatch loop run() uses. Step-driven execution is unaffected
-  /// (single transitions always dispatch through the de-fused table).
-  DispatchMode Dispatch = DispatchMode::Auto;
 };
 
 /// Outcome of a full-semantics run.

@@ -104,17 +104,6 @@ public:
   /// the branch target (guard nonzero), false for fall-through.
   virtual void onBranch(uint32_t Pc, bool Taken) = 0;
 
-  /// The superinstruction headed at \p FirstPc is about to execute as one
-  /// fused dispatch covering \p SecondPc as well. Purely additive: the two
-  /// constituent onDispatch (and onBranch) callbacks still fire, so the
-  /// logical dispatch stream — and every metric derived from it — is
-  /// unchanged by fusion. Realized-fusion accounting (the `exec.fused.*`
-  /// namespace) hangs off this hook alone; the default ignores it.
-  virtual void onFused(uint32_t FirstPc, uint32_t SecondPc) {
-    (void)FirstPc;
-    (void)SecondPc;
-  }
-
   /// The mitigate window with site \p Eta settled, costing \p Epochs
   /// scheduler misprediction epochs (0 = the prediction held).
   virtual void onSettle(unsigned Eta, unsigned Epochs) = 0;

@@ -11,7 +11,7 @@ StepInterpreter::StepInterpreter(const Program &P, MachineEnv &Env,
     : Env(Env),
       IR(std::make_unique<IrProgram>(
           lowerProgram(P, Opts.Costs, Opts.Mitigation))),
-      LIR(compileLir(*IR, Opts)),
+      LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
       Core(std::make_unique<ExecCore>(
           *LIR, P, Memory::fromProgram(P, Opts.Costs.DataBase), Env, Opts)) {
   if (Opts.Provenance) {
@@ -27,7 +27,7 @@ StepInterpreter::StepInterpreter(const Program &P, CmdPtr C,
     : Env(Env), Owned(std::move(C)),
       IR(std::make_unique<IrProgram>(
           lowerCommand(P, *Owned, Opts.Costs, Opts.Mitigation))),
-      LIR(compileLir(*IR, Opts)),
+      LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
       Core(std::make_unique<ExecCore>(*LIR, P, std::move(InitialMemory), Env,
                                       Opts)) {
   if (Opts.Provenance) {

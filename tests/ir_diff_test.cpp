@@ -126,55 +126,6 @@ void expectThreeWayAgreement(const Program &P, HwKind Kind,
   EXPECT_EQ(FullExec.toJson().dump(), StepExec.toJson().dump())
       << hwKindName(Kind);
 
-  // Dispatch-matrix unification: the fusion overlay and the choice of run
-  // loop are pure wall-clock knobs, so every observable — trace, memory,
-  // hardware state, ledger, exec.* profile — is byte-identical across
-  // {fusion on, off} × {threaded, switch} against the baseline run above.
-  const std::string BaseLedger = FullLedger.toJson().dump();
-  const std::string BaseExec = FullExec.toJson().dump();
-  struct DispatchLeg {
-    bool Fusion;
-    DispatchMode Mode;
-    const char *Name;
-  };
-  const DispatchLeg Legs[] = {
-      {true, DispatchMode::Threaded, "fused/threaded"},
-      {true, DispatchMode::Switch, "fused/switch"},
-      {false, DispatchMode::Threaded, "unfused/threaded"},
-      {false, DispatchMode::Switch, "unfused/switch"},
-  };
-  for (const DispatchLeg &Leg : Legs) {
-    if (Leg.Mode == DispatchMode::Threaded && !threadedDispatchAvailable())
-      continue;
-    auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
-    CostLedger Ledger;
-    ExecProfile Prof;
-    InterpreterOptions Opts;
-    Opts.Mitigation = Sel;
-    Opts.Provenance = &Ledger;
-    Opts.Probe = &Prof;
-    Opts.Fusion = Leg.Fusion;
-    Opts.Dispatch = Leg.Mode;
-    RunResult R = runFull(P, *Env, Opts);
-    EXPECT_EQ(R.T.FinalTime, Full.T.FinalTime) << Leg.Name;
-    EXPECT_EQ(R.T.Steps, Full.T.Steps) << Leg.Name;
-    EXPECT_EQ(R.T.FinalMissTable, Full.T.FinalMissTable) << Leg.Name;
-    EXPECT_TRUE(R.FinalMemory == Full.FinalMemory) << Leg.Name;
-    EXPECT_TRUE(Env->stateEquals(*FullEnv)) << Leg.Name;
-    ASSERT_EQ(R.T.Events.size(), Full.T.Events.size()) << Leg.Name;
-    for (size_t I = 0; I != R.T.Events.size(); ++I)
-      EXPECT_TRUE(R.T.Events[I] == Full.T.Events[I])
-          << Leg.Name << " event " << I;
-    ASSERT_EQ(R.T.Mitigations.size(), Full.T.Mitigations.size()) << Leg.Name;
-    for (size_t I = 0; I != R.T.Mitigations.size(); ++I)
-      EXPECT_TRUE(R.T.Mitigations[I] == Full.T.Mitigations[I])
-          << Leg.Name << " mitigation " << I;
-    EXPECT_EQ(Ledger.toJson().dump(), BaseLedger) << Leg.Name;
-    MetricsRegistry Exec;
-    Prof.exportMetrics(Exec);
-    EXPECT_EQ(Exec.toJson().dump(), BaseExec) << Leg.Name;
-  }
-
   // Online/offline agreement: replaying the finished trace through a
   // fresh accountant must land on the same Sec. 6 bound, bit for bit,
   // under whichever policy scheduled the run.

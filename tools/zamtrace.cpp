@@ -174,8 +174,9 @@ enum class InputKind { Trace, Stats };
 
 /// Peeks at \p Path without loading it: the ZTB magic or a leading '['
 /// marks a trace, a first line that parses as a JSON record object (with
-/// a "kind" or "ph" member) marks a JSONL trace, and anything else is
-/// treated as a stats/report document.
+/// a "kind" or "ph" member) marks a JSONL trace, and any other input that
+/// opens a JSON object is treated as a stats/report document. Anything
+/// else is reported as unrecognized input (nullopt).
 std::optional<InputKind> classifyInput(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   if (!In) {
@@ -198,6 +199,13 @@ std::optional<InputKind> classifyInput(const std::string &Path) {
   }
   if (C == '[')
     return InputKind::Trace;
+  if (C != '{') {
+    std::fprintf(stderr,
+                 "error: '%s': unrecognized input (neither a trace nor a "
+                 "stats document)\n",
+                 Path.c_str());
+    return std::nullopt;
+  }
   std::string Line(1, static_cast<char>(C));
   while ((C = In.get()) != std::ifstream::traits_type::eof() && C != '\n')
     Line += static_cast<char>(C);
@@ -442,6 +450,38 @@ LevelRecompute &levelAccount(Analysis &A, const std::string &Name) {
 /// memory proportional to the analysis, not the trace. \returns false
 /// (after a diagnostic) on any drift or decode error.
 bool analyzeTrace(TraceReader &Reader, Analysis &A) {
+  // A priced leak span, held until the run would have settled it: the
+  // running sums below follow the online accountant's completion order.
+  struct LeakSpan {
+    std::string Name;
+    std::string Level;
+    double Bits = 0;
+    double CumBits = 0;
+    unsigned MissesAfter = 0;
+    uint64_t Line = 0;
+  };
+  CompletionOrder<LeakSpan> Order;
+  auto Account = [&A](LeakSpan &L) {
+    LevelRecompute &Acc = levelAccount(A, L.Level);
+    ++Acc.Windows;
+    Acc.Misses = L.MissesAfter;
+    Acc.BitsBound += L.Bits;
+    if (L.CumBits != Acc.BitsBound) {
+      std::fprintf(stderr,
+                   "error: leak span '%s' cumulative bound drifted: "
+                   "cum_level_bits %s, recomputed %s\n",
+                   L.Name.c_str(), jsonNumberString(L.CumBits).c_str(),
+                   jsonNumberString(Acc.BitsBound).c_str());
+      return false;
+    }
+    // Per-line / per-site replay for --by-line: completion order is the
+    // accountant's arrival order, so these double sums are bit-exact.
+    A.Lines[L.Line].LeakBits += L.Bits;
+    A.Sites[etaOfName(L.Name)].LeakBits += L.Bits;
+    ++A.LeakWindows;
+    return true;
+  };
+
   TraceRecord R;
   while (Reader.next(R)) {
     if (R.RecordKind == TraceRecord::Kind::Meta) {
@@ -607,26 +647,18 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
                      jsonNumberString(WantBits).c_str());
         return false;
       }
-      LevelRecompute &Acc = levelAccount(A, Level);
-      ++Acc.Windows;
-      Acc.Misses = static_cast<unsigned>(argNum(R, "misses_after"));
-      Acc.BitsBound += WantBits;
-      if (CumBits != Acc.BitsBound) {
-        std::fprintf(stderr,
-                     "error: leak span '%s' cumulative bound drifted: "
-                     "cum_level_bits %s, recomputed %s\n",
-                     R.Name.c_str(),
-                     jsonNumberString(CumBits).c_str(),
-                     jsonNumberString(Acc.BitsBound).c_str());
+      LeakSpan L{R.Name,
+                 Level,
+                 WantBits,
+                 CumBits,
+                 static_cast<unsigned>(argNum(R, "misses_after")),
+                 argNum(R, "loc")};
+      if (!Order.push(Completed, std::move(L), Account))
         return false;
-      }
-      // Per-line / per-site replay for --by-line: trace order is the
-      // accountant's arrival order, so these double sums are bit-exact.
-      A.Lines[argNum(R, "loc")].LeakBits += WantBits;
-      A.Sites[etaOfName(R.Name)].LeakBits += WantBits;
-      ++A.LeakWindows;
     }
   }
+  if (!Order.flush(Account))
+    return false;
   if (!Reader.ok()) {
     std::fprintf(stderr, "error: trace decode: %s\n",
                  Reader.error().c_str());
