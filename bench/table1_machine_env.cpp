@@ -68,8 +68,7 @@ int main() {
   }
 
   // Partition geometry of the Sec. 4.3 design.
-  PartitionedHw Part(Lat, C);
-  CacheConfig P1 = Part.partitionConfig(C.L1D);
+  CacheConfig P1 = partitionConfig(HwKind::Partitioned, Lat, C.L1D);
   std::printf("\npartitioned design: each structure statically divided per"
               " level\n  e.g. L1D partition: %u sets x %u ways (of %u sets"
               " total)\n",

@@ -2,6 +2,8 @@
 # rejection: a nonzero exit status that is not a crash, and output matching
 # the EXPECT regex. The input is generated first:
 #   GENERATE=deep_parens   INPUT holds `x := ((…1…))` nested COUNT deep
+#   GENERATE=long_sequence INPUT holds a sequence of COUNT statements
+#   GENERATE=long_chain    INPUT holds `x := 1+1+…+1` with COUNT operators
 #   GENERATE=random_bytes  INPUT holds COUNT pseudo-random bytes (fixed LCG,
 #                          so every run sees the same bytes)
 #   GENERATE=text          INPUT holds CONTENT verbatim
@@ -9,6 +11,13 @@ if(GENERATE STREQUAL "deep_parens")
   string(REPEAT "(" ${COUNT} OPEN)
   string(REPEAT ")" ${COUNT} CLOSE)
   file(WRITE ${INPUT} "var x : L;\nx := ${OPEN}1${CLOSE}\n")
+elseif(GENERATE STREQUAL "long_sequence")
+  math(EXPR REST "${COUNT} - 1")
+  string(REPEAT "x := 1;\n" ${REST} BODY)
+  file(WRITE ${INPUT} "var x : L;\n${BODY}x := 1\n")
+elseif(GENERATE STREQUAL "long_chain")
+  string(REPEAT "+1" ${COUNT} TERMS)
+  file(WRITE ${INPUT} "var x : L;\nx := 1${TERMS}\n")
 elseif(GENERATE STREQUAL "random_bytes")
   set(STATE 12345)
   set(BYTES "")

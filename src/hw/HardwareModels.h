@@ -6,26 +6,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Three concrete machine environments:
+/// The three hardware designs, built by createMachineEnv (hw/MachineEnv.h).
+/// All three are one cache hierarchy applying one rule: an access with
+/// labels [er,ew] takes its timing only from state at levels ⊑ er
+/// (Property 6) and modifies only state at levels ⊒ ew (Property 5),
+/// installing at ew. They differ only in which levels own state:
 ///
-///  - NoPartitionHw — commodity hardware that ignores timing labels. This is
-///    the paper's "nopar" baseline (Table 2); it deliberately VIOLATES
-///    Properties 5 and 7 (high-context accesses disturb low cache state),
-///    which is what makes the unmitigated timing attacks work.
+///  - HwKind::Partitioned — the Sec. 4.3 design: every cache and TLB is
+///    statically partitioned per security level (sets divided evenly). A
+///    copy resident in a partition above ew is moved (removed + reinstalled
+///    at ew) and the access is timed as a miss, exactly as the paper
+///    prescribes.
 ///
-///  - NoFillHw — the Sec. 4.2 realization on standard hardware: the whole
-///    cache hierarchy is labeled ⊥ and commands whose write label is not ⊥
-///    run in "no-fill" mode (accesses are served without installing lines or
-///    updating LRU state), mirroring the no-fill mode of Intel Pentium/Xeon
-///    processors.
+///  - HwKind::NoFill — the Sec. 4.2 realization on standard hardware: the
+///    whole cache hierarchy is labeled ⊥. A command whose write label is not
+///    ⊥ has no partition at ew to install into, so it runs in "no-fill"
+///    mode (accesses are served without installing lines or updating LRU
+///    state), mirroring the no-fill mode of Intel Pentium/Xeon processors.
 ///
-///  - PartitionedHw — the Sec. 4.3 design: every cache and TLB is statically
-///    partitioned per security level (sets divided evenly). An access with
-///    labels [er,ew] may derive its timing only from partitions at levels
-///    ⊑ er, may promote LRU state only in partitions at levels ⊒ ew, and
-///    installs into the ew partition. For consistency a copy resident in a
-///    partition above ew is moved (removed + reinstalled at ew) and the
-///    access is timed as a miss, exactly as the paper prescribes.
+///  - HwKind::NoPartition — commodity hardware ("nopar", Table 2): only ⊥
+///    owns state and the labels are ignored, every access acting as [⊥,⊥].
+///    It deliberately VIOLATES Properties 5 and 7 (high-context accesses
+///    disturb low cache state), which is what makes the unmitigated timing
+///    attacks work.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,137 +37,19 @@
 
 #include "hw/MachineEnv.h"
 
-#include <vector>
-
 namespace zam {
 
-/// Shared implementation for the two designs with a single (unpartitioned)
-/// copy of every structure, all of it labeled ⊥.
-class UnifiedHwBase : public MachineEnv {
-public:
-  uint64_t dataAccess(Addr A, bool IsStore, Label Read, Label Write) override;
-  uint64_t fetch(Addr A, Label Read, Label Write) override;
-  bool projectionEquals(const MachineEnv &Other, Label L) const override;
-  void reset() override;
-  void randomize(Rng &R) override;
-  void perturbAbove(Label L, Rng &R) override;
-  HwStats stats() const override;
-  void resetStats() override;
+/// The largest lattice (in levels) the hardware model accepts: every
+/// access is planned per (er, ew) pair at construction, and a partition
+/// slot is packed into seven bits of a plan entry.
+inline constexpr unsigned kMaxHwLevels = 127;
 
-protected:
-  UnifiedHwBase(HwKind Kind, const SecurityLattice &Lat,
-                const MachineEnvConfig &Config, bool NoFillMode);
-
-  /// Whether an access with write label \p Write may modify the (⊥-labeled)
-  /// cache state. NoPartition says always; NoFill says only when ew = ⊥.
-  /// Data-driven rather than virtual: it runs on every access, and both
-  /// operands (the mode flag and the cached ⊥) are fixed at construction.
-  bool mayFill(Label Write) const { return !NoFillMode || Write == Bottom; }
-
-  Cache L1D, L2D, L1I, L2I, DTlb, ITlb;
-
-private:
-  bool NoFillMode;
-  Label Bottom; ///< lattice().bottom(), cached off the access path.
-};
-
-/// Commodity hardware ("nopar"): timing labels are ignored.
-class NoPartitionHw final : public UnifiedHwBase {
-public:
-  NoPartitionHw(const SecurityLattice &Lat, const MachineEnvConfig &Config)
-      : UnifiedHwBase(HwKind::NoPartition, Lat, Config,
-                      /*NoFillMode=*/false) {}
-
-  std::unique_ptr<MachineEnv> clone() const override;
-};
-
-/// Standard hardware with a no-fill mode (Sec. 4.2).
-class NoFillHw final : public UnifiedHwBase {
-public:
-  NoFillHw(const SecurityLattice &Lat, const MachineEnvConfig &Config)
-      : UnifiedHwBase(HwKind::NoFill, Lat, Config, /*NoFillMode=*/true) {}
-
-  std::unique_ptr<MachineEnv> clone() const override;
-};
-
-/// Statically partitioned caches and TLBs (Sec. 4.3), generalized from the
-/// paper's two-level design to one partition per lattice level. Each
-/// structure's sets are divided evenly among the levels (at least one set
-/// per partition).
-class PartitionedHw final : public MachineEnv {
-public:
-  PartitionedHw(const SecurityLattice &Lat, const MachineEnvConfig &Config);
-
-  uint64_t dataAccess(Addr A, bool IsStore, Label Read, Label Write) override;
-  uint64_t fetch(Addr A, Label Read, Label Write) override;
-  std::unique_ptr<MachineEnv> clone() const override;
-  bool projectionEquals(const MachineEnv &Other, Label L) const override;
-  void reset() override;
-  void randomize(Rng &R) override;
-  void perturbAbove(Label L, Rng &R) override;
-  HwStats stats() const override;
-  void resetStats() override;
-
-  /// The per-partition configuration actually used for \p Full (sets divided
-  /// by the number of levels). Exposed for tests.
-  CacheConfig partitionConfig(const CacheConfig &Full) const;
-
-  /// Marks a lookup-plan entry whose partition may be probed but not
-  /// modified (Property 5). Public for the plan walker in the
-  /// implementation file.
-  static constexpr uint8_t kProbeOnly = 0x80;
-
-private:
-  /// One structure = one Cache per lattice level, indexed by label index.
-  using Partitioned = std::vector<Cache>;
-
-  Partitioned makePartitions(const CacheConfig &Full) const;
-
-  /// Searches partitions at levels ⊑ er. On a hit, promotes LRU only when
-  /// ew ⊑ level (Property 5); \p MarkDirty marks the line dirty on a
-  /// promoting hit (telemetry only). \returns true on hit.
-  bool partLookup(Partitioned &P, Addr A, Label Read, Label Write,
-                  bool MarkDirty = false);
-
-  /// Moves any copy resident above \p Write down to the \p Write partition
-  /// and installs the block there.
-  void partInstall(Partitioned &P, Addr A, Label Write, bool Dirty = false);
-
-  uint64_t accessHierarchy(Partitioned &Tlb, Partitioned &L1, Partitioned &L2,
-                           Addr A, Label Read, Label Write, bool IsData,
-                           bool IsStore);
-
-  /// The observed variant of accessHierarchy: identical walk and charges,
-  /// plus per-access event snapshots and the HwObserver notification. Split
-  /// out so unobserved runs — the hot case — pay for none of it; the two
-  /// bodies must stay mirror images.
-  uint64_t accessObserved(Partitioned &Tlb, Partitioned &L1, Partitioned &L2,
-                          Addr A, Label Read, Label Write, bool IsData,
-                          bool IsStore);
-
-  /// Precomputed lattice order: Flows[i * Levels + j] = (ℓ_i ⊑ ℓ_j). The
-  /// partition search consults the order once per partition per access, so
-  /// a virtual flowsTo() call there is measurable; the lattice is immutable,
-  /// so snapshotting it at construction is safe.
-  bool flows(unsigned I, unsigned J) const { return Flows[I * Levels + J]; }
-
-  unsigned Levels = 0;
-  std::vector<uint8_t> Flows;
-
-  /// Precomputed partition walks, one per (er, ew) pair: partLookup visits
-  /// exactly the partitions at levels ⊑ er in ascending label order, each
-  /// entry packing the partition index with a probe-only bit (set when
-  /// ew ⋢ level, Property 5). partInstall's stale-copy sweep visits the
-  /// partitions I ≠ ew with ew ⊑ I. Both walks are functions of the
-  /// immutable lattice alone, so precomputing them at construction removes
-  /// every per-access order check from the simulator's hottest loop.
-  std::vector<uint8_t> LookupPlan;     ///< Packed entries for all (er,ew).
-  std::vector<uint16_t> LookupOff;     ///< Levels²+1 offsets into LookupPlan.
-  std::vector<uint8_t> InstallVictims; ///< Packed entries for all ew.
-  std::vector<uint16_t> VictimOff;     ///< Levels+1 offsets.
-
-  Partitioned L1D, L2D, L1I, L2I, DTlb, ITlb;
-};
+/// The geometry of one partition of a structure with geometry \p Full in
+/// design \p Kind over \p Lat: the partitioned design divides the sets
+/// evenly among the levels (at least one set per partition); the other
+/// designs keep one partition of the full geometry.
+CacheConfig partitionConfig(HwKind Kind, const SecurityLattice &Lat,
+                            const CacheConfig &Full);
 
 } // namespace zam
 

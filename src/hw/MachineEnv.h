@@ -65,8 +65,9 @@ struct HwAccess {
   bool L2Miss = false; ///< Implies L1Miss; the access went to memory.
   uint64_t Cycles = 0; ///< Latency charged for this access.
   /// Structure-event deltas (valid only while an observer is installed;
-  /// zero otherwise). In the partitioned design each delta sums over the
-  /// structure's partitions — an install may displace stale copies from
+  /// zero otherwise). Each delta sums over all of the structure's
+  /// partitions — one per level in the partitioned design, a single ⊥
+  /// partition otherwise — since an install may displace stale copies from
   /// several of them.
   HwEventDelta TlbEvents;
   HwEventDelta L1Events;

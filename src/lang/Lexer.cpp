@@ -3,6 +3,8 @@
 #include "lang/Lexer.h"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
 
 using namespace zam;
 
@@ -200,24 +202,32 @@ Token Lexer::next() {
   }
 
   if (std::isdigit(static_cast<unsigned char>(C))) {
-    int64_t Value = 0;
-    bool Hex = false;
-    if (C == '0' && (peek() == 'x' || peek() == 'X')) {
+    // Accumulate unsigned and stop before INT64_MAX is exceeded, so an
+    // oversized literal is a diagnostic rather than signed overflow.
+    const bool Hex = C == '0' && (peek() == 'x' || peek() == 'X');
+    const uint64_t Base = Hex ? 16 : 10;
+    const uint64_t Max = std::numeric_limits<int64_t>::max();
+    uint64_t Value = 0;
+    bool OutOfRange = false;
+    if (Hex)
       advance();
-      Hex = true;
-      while (std::isxdigit(static_cast<unsigned char>(peek()))) {
-        char D = advance();
-        int Digit = std::isdigit(static_cast<unsigned char>(D))
-                        ? D - '0'
-                        : std::tolower(D) - 'a' + 10;
-        Value = Value * 16 + Digit;
-      }
-    } else {
+    else
       Value = C - '0';
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        Value = Value * 10 + (advance() - '0');
+    while (Hex ? std::isxdigit(static_cast<unsigned char>(peek()))
+               : std::isdigit(static_cast<unsigned char>(peek()))) {
+      char D = advance();
+      uint64_t Digit = std::isdigit(static_cast<unsigned char>(D))
+                           ? D - '0'
+                           : std::tolower(D) - 'a' + 10;
+      if (Value > (Max - Digit) / Base)
+        OutOfRange = true;
+      else
+        Value = Value * Base + Digit;
     }
-    (void)Hex;
+    if (OutOfRange) {
+      Diags.error(Tok.Loc, "integer literal out of range");
+      Value = 0;
+    }
     Tok.Kind = TokKind::IntLit;
     Tok.IntValue = Value;
     return Tok;

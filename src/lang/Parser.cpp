@@ -8,7 +8,7 @@ using namespace zam;
 
 Parser::Parser(std::string Source, const SecurityLattice &Lat,
                DiagnosticEngine &Diags)
-    : Lat(Lat), Diags(Diags) {
+    : Lat(Lat), Diags(Diags), ErrorsBefore(Diags.errorCount()) {
   Lexer Lex(std::move(Source), Diags);
   Toks = Lex.lexAll();
 }
@@ -49,7 +49,7 @@ bool Parser::tooDeep() {
   Diags.error(peek().Loc, "nesting exceeds the limit of " +
                               std::to_string(kMaxNestingDepth) +
                               " levels (blocks, parentheses, indices and "
-                              "unary operators)");
+                              "operators)");
   return true;
 }
 
@@ -319,13 +319,25 @@ CmdPtr Parser::parseSimpleCmd() {
 }
 
 CmdPtr Parser::parseCmd() {
-  // A sequence nests to the right in the AST but is read iteratively, so
-  // program length never counts as parser nesting.
+  // A sequence nests to the right in the AST but is read iteratively; each
+  // statement sits one Seq deeper than the one before it (see
+  // kMaxSequenceLength).
+  const unsigned Base = SeqDepth;
   std::vector<CmdPtr> Cmds;
   for (;;) {
-    CmdPtr C = parseSimpleCmd();
-    if (!C)
+    if (SeqDepth == kMaxSequenceLength) {
+      Diags.error(peek().Loc, "statement sequence exceeds the limit of " +
+                                  std::to_string(kMaxSequenceLength) +
+                                  " statements");
+      SeqDepth = Base;
       return nullptr;
+    }
+    ++SeqDepth;
+    CmdPtr C = parseSimpleCmd();
+    if (!C) {
+      SeqDepth = Base;
+      return nullptr;
+    }
     Cmds.push_back(std::move(C));
     if (!accept(TokKind::Semi))
       break;
@@ -333,6 +345,7 @@ CmdPtr Parser::parseCmd() {
     if (check(TokKind::RBrace) || check(TokKind::Eof))
       break;
   }
+  SeqDepth = Base;
   CmdPtr Rest = std::move(Cmds.back());
   for (size_t I = Cmds.size() - 1; I-- != 0;) {
     SourceLoc Loc = Cmds[I]->loc();
@@ -383,19 +396,27 @@ static const BinOpInfo *findBinOp(TokKind Kind) {
 
 ExprPtr Parser::parseBinary(int MinPrec) {
   ExprPtr LHS = parseUnary();
-  if (!LHS)
-    return nullptr;
-  for (;;) {
+  // Each operator nests the chain read so far one level deeper (operators
+  // associate to the left), so it holds a nesting level until the chain
+  // ends.
+  const unsigned Base = Depth;
+  while (LHS) {
     const BinOpInfo *Info = findBinOp(peek().Kind);
     if (!Info || Info->Prec < MinPrec)
-      return LHS;
+      break;
+    ++Depth;
+    if (tooDeep()) {
+      LHS = nullptr;
+      break;
+    }
     SourceLoc Loc = advance().Loc;
     ExprPtr RHS = parseBinary(Info->Prec + 1); // Left-associative.
-    if (!RHS)
-      return nullptr;
-    LHS = std::make_unique<BinOpExpr>(Info->Op, std::move(LHS), std::move(RHS),
-                                      Loc);
+    LHS = RHS ? std::make_unique<BinOpExpr>(Info->Op, std::move(LHS),
+                                            std::move(RHS), Loc)
+              : nullptr;
   }
+  Depth = Base;
+  return LHS;
 }
 
 ExprPtr Parser::parseUnary() {
@@ -475,6 +496,8 @@ std::optional<Program> Parser::parseProgram() {
                                 " after the program body");
     return std::nullopt;
   }
+  if (Diags.errorCount() != ErrorsBefore)
+    return std::nullopt; // A lexical or annotation error the parse survived.
   P.setBody(std::move(Body));
   P.number();
   return P;
@@ -486,7 +509,7 @@ CmdPtr Parser::parseCommandOnly() {
     Diags.error(peek().Loc, "unexpected trailing input after command");
     return nullptr;
   }
-  return C;
+  return Diags.errorCount() == ErrorsBefore ? std::move(C) : nullptr;
 }
 
 ExprPtr Parser::parseExprOnly() {
@@ -495,7 +518,7 @@ ExprPtr Parser::parseExprOnly() {
     Diags.error(peek().Loc, "unexpected trailing input after expression");
     return nullptr;
   }
-  return E;
+  return Diags.errorCount() == ErrorsBefore ? std::move(E) : nullptr;
 }
 
 std::optional<Program> zam::parseProgram(const std::string &Source,

@@ -86,9 +86,13 @@ private:
 
   const SecurityLattice &Lat;
   DiagnosticEngine &Diags;
+  /// Errors already in Diags: a parse fails if it adds any, including the
+  /// lexer's and those it recovers from.
+  unsigned ErrorsBefore;
   std::vector<Token> Toks;
   size_t Pos = 0;
-  unsigned Depth = 0; ///< Current syntactic nesting (see NestingScope).
+  unsigned Depth = 0;    ///< Current syntactic nesting (see NestingScope).
+  unsigned SeqDepth = 0; ///< Statements above the current one (parseCmd).
 };
 
 /// Convenience wrapper: lex+parse \p Source, returning the program or

@@ -96,6 +96,31 @@ TEST(Lexer, UnexpectedCharacterIsReportedAndSkipped) {
   EXPECT_EQ(Toks[1].Text, "y");
 }
 
+TEST(Lexer, IntegerLiteralsUpToInt64Max) {
+  DiagnosticEngine Diags;
+  std::vector<Token> Toks =
+      lex("9223372036854775807 0x7fffffffffffffff 0XfF", Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  ASSERT_EQ(Toks.size(), 4u);
+  EXPECT_EQ(Toks[0].IntValue, INT64_MAX);
+  EXPECT_EQ(Toks[1].IntValue, INT64_MAX);
+  EXPECT_EQ(Toks[2].IntValue, 255);
+}
+
+TEST(Lexer, OutOfRangeIntegerLiteralIsAnError) {
+  for (const char *Source :
+       {"9223372036854775808", "99999999999999999999", "0x8000000000000000",
+        "0x1ffffffffffffffff"}) {
+    DiagnosticEngine Diags;
+    std::vector<Token> Toks = lex(Source, Diags);
+    EXPECT_EQ(Diags.errorCount(), 1u) << Source;
+    EXPECT_NE(Diags.str().find("1:1: integer literal out of range"),
+              std::string::npos)
+        << Diags.str();
+    ASSERT_EQ(Toks.size(), 2u) << Source; // The whole literal, then eof.
+  }
+}
+
 TEST(Lexer, BareAtIsAnError) {
   DiagnosticEngine Diags;
   lex("x @ y", Diags);

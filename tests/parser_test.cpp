@@ -2,7 +2,11 @@
 
 #include "lang/Parser.h"
 #include "lang/PrettyPrinter.h"
+#include "sem/FullInterpreter.h"
+#include "sem/Limits.h"
 #include "support/Casting.h"
+#include "types/LabelInference.h"
+#include "types/TypeChecker.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
@@ -129,6 +133,79 @@ TEST(Parser, TrailingGarbageIsAnError) {
   DiagnosticEngine Diags;
   EXPECT_FALSE(parseProgram("var x : L;\nskip skip", lh(), Diags).has_value());
   EXPECT_TRUE(Diags.hasErrors());
+}
+
+namespace {
+/// Expects \p Source to fail to parse with a diagnostic containing
+/// \p Message.
+void expectRejected(const std::string &Source, const std::string &Message) {
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(parseProgram(Source, lh(), Diags).has_value());
+  EXPECT_NE(Diags.str().find(Message), std::string::npos) << Diags.str();
+}
+
+/// \p N statements `x := x + 1` in one sequence.
+std::string statements(unsigned N) {
+  std::string S;
+  for (unsigned I = 0; I != N; ++I)
+    S += I + 1 == N ? "x := x + 1\n" : "x := x + 1;\n";
+  return S;
+}
+
+/// `x := 1+1+…+1` with \p Operators operators.
+std::string chainOf(unsigned Operators) {
+  std::string S = "x := 1";
+  for (unsigned I = 0; I != Operators; ++I)
+    S += "+1";
+  return S + "\n";
+}
+
+/// Parses \p Body over `var x : L` and drives it through inference, the
+/// type checker, the printer and a full run: every pass that recurses over
+/// the AST. \returns the final x.
+int64_t runEveryPass(const std::string &Body) {
+  Program P = parseOrDie("var x : L;\n" + Body);
+  inferTimingLabels(P);
+  DiagnosticEngine Diags;
+  EXPECT_TRUE(typeCheck(P, Diags)) << Diags.str();
+  EXPECT_FALSE(printProgram(P).empty());
+  auto Env = createMachineEnv(HwKind::Partitioned, lh());
+  return runFull(P, *Env).FinalMemory.load("x");
+}
+} // namespace
+
+TEST(Parser, LexicalErrorFailsTheParse) {
+  expectRejected("var x : L;\nx := 1 $", "2:8: unexpected character '$'");
+  expectRejected("var x : L;\nx := 99999999999999999999",
+                 "2:6: integer literal out of range");
+}
+
+TEST(Parser, MalformedAnnotationFailsTheParse) {
+  expectRejected("var x : L;\nskip @[L H]", "expected ','");
+}
+
+TEST(Parser, LongestSequenceRunsAndOneMoreIsRejected) {
+  EXPECT_EQ(runEveryPass(statements(kMaxSequenceLength)),
+            int64_t(kMaxSequenceLength));
+  expectRejected("var x : L;\n" + statements(kMaxSequenceLength + 1),
+                 "statement sequence exceeds the limit");
+}
+
+TEST(Parser, LongestOperatorChainRunsAndOneMoreIsRejected) {
+  // The chain's first operand holds one nesting level of its own.
+  const unsigned Longest = kMaxNestingDepth - 1;
+  EXPECT_EQ(runEveryPass(chainOf(Longest)), int64_t(Longest) + 1);
+  expectRejected("var x : L;\n" + chainOf(Longest + 1),
+                 "nesting exceeds the limit");
+}
+
+TEST(Parser, EnclosingSequencesCountTowardTheSequenceLimit) {
+  // Half the limit of statements, then a block holding one too many.
+  const unsigned Half = kMaxSequenceLength / 2;
+  expectRejected("var x : L;\n" + statements(Half) + ";\nif x then {\n" +
+                     statements(kMaxSequenceLength - Half + 1) +
+                     "} else { skip }\n",
+                 "statement sequence exceeds the limit");
 }
 
 TEST(Parser, ThreeLevelLatticeLabels) {

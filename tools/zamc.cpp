@@ -41,7 +41,7 @@
 //
 // Options:
 //   --levels L,M,H        use a total-order lattice with these level names
-//                         (default: L,H)
+//                         (default: L,H; at most 127 levels)
 //   --hw KIND             nopar | nofill | partitioned (default: partitioned)
 //   --set var=value       override a variable's initial value (repeatable)
 //   --adversary LEVEL     adversary level for `leakage` and for projecting
@@ -290,6 +290,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!V)
         return false;
       Opts.Levels = splitCommas(V);
+      if (Opts.Levels.empty() || Opts.Levels.size() > kMaxHwLevels)
+        return false;
     } else if (Arg == "--hw") {
       const char *V = Next();
       if (!V)
