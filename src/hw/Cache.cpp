@@ -11,7 +11,7 @@ Cache::Cache(const CacheConfig &Config)
     : Assoc(Config.Assoc), Latency(Config.Latency), Config(Config) {
   assert(Config.NumSets > 0 && Config.Assoc > 0 && Config.BlockBytes > 0 &&
          "degenerate cache configuration");
-  Lines.resize(static_cast<size_t>(Config.NumSets) * Config.Assoc);
+  Lines = std::make_unique_for_overwrite<Line[]>(Config.capacity());
   Occupancy.assign(Config.NumSets, 0);
   if (std::has_single_bit(Config.BlockBytes) &&
       std::has_single_bit(Config.NumSets)) {
@@ -19,6 +19,35 @@ Cache::Cache(const CacheConfig &Config)
     SetMask = Config.NumSets - 1;
     TagShift = BlockShift + static_cast<unsigned>(std::countr_zero(Config.NumSets));
   }
+}
+
+Cache::Cache(const Cache &Other) { *this = Other; }
+
+Cache &Cache::operator=(const Cache &Other) {
+  if (this == &Other)
+    return *this;
+  // Storage is reused when the capacity matches; its old lines lie past
+  // the new occupancy and are never read.
+  if (!Lines || Config.capacity() != Other.Config.capacity())
+    Lines = std::make_unique_for_overwrite<Line[]>(Other.Config.capacity());
+  BlockShift = Other.BlockShift;
+  TagShift = Other.TagShift;
+  SetMask = Other.SetMask;
+  Assoc = Other.Assoc;
+  Latency = Other.Latency;
+  Occupancy = Other.Occupancy;
+  Resident = Other.Resident;
+  Config = Other.Config;
+  Events = Other.Events;
+  copyResident(Other);
+  return *this;
+}
+
+void Cache::copyResident(const Cache &Other) {
+  if (Resident == 0)
+    return;
+  for (unsigned S = 0; S != Config.NumSets; ++S)
+    std::copy_n(Other.setLines(S), Occupancy[S], setLines(S));
 }
 
 void Cache::install(Addr A, bool Dirty) {
@@ -43,6 +72,7 @@ void Cache::install(Addr A, bool Dirty) {
       W = N - 1;
     } else {
       W = N++;
+      ++Resident;
     }
   }
   for (uint32_t I = W; I != 0; --I)
@@ -63,12 +93,14 @@ void Cache::remove(Addr A) {
     for (uint32_t I = W; I + 1 != N; ++I)
       Set[I] = Set[I + 1];
     --N;
+    --Resident;
     return;
   }
 }
 
 void Cache::reset() {
   std::fill(Occupancy.begin(), Occupancy.end(), 0);
+  Resident = 0;
 }
 
 void Cache::randomize(Rng &R, double FillFraction) {
@@ -82,8 +114,10 @@ void Cache::randomize(Rng &R, double FillFraction) {
         bool Dup = false;
         for (uint32_t W = 0; W != N; ++W)
           Dup = Dup || Set[W].Tag == Tag;
-        if (!Dup)
+        if (!Dup) {
           Set[N++] = Line{Tag, false};
+          ++Resident;
+        }
       }
   }
 }

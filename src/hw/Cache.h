@@ -31,6 +31,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace zam {
@@ -47,17 +48,28 @@ struct CacheEvents {
 
 /// One cache-like structure. State per set is the list of resident lines in
 /// LRU order (front = most recently used). Replacement is strict LRU.
-class Cache {
+///
+/// Aligned to a cache line: a hierarchy keeps its partitions in one array
+/// and every access reads the leading fields of several of them, which an
+/// unaligned stride would split over two lines for some partitions.
+class alignas(64) Cache {
 public:
   explicit Cache(const CacheConfig &Config);
+
+  /// Copies cost O(sets + resident lines), not O(capacity): only each
+  /// set's occupied prefix is copied, and the per-set pass is skipped when
+  /// the source holds no line (a cold template).
+  Cache(const Cache &Other);
+  Cache &operator=(const Cache &Other);
+  Cache(Cache &&) noexcept = default;
+  Cache &operator=(Cache &&) noexcept = default;
 
   const CacheConfig &config() const { return Config; }
   uint64_t latency() const { return Latency; }
 
   /// Hit test that promotes the line to MRU on a hit; \p MarkDirty
   /// additionally sets the line's dirty bit (stores). \returns true on hit.
-  /// Defined inline below: this is the hottest call in the simulator, and
-  /// the partition/no-fill walks that drive it live in another TU.
+  /// Defined inline below: this is the hottest call in the simulator.
   bool lookup(Addr A, bool MarkDirty = false);
 
   /// Hit test with no state change at all (used for no-fill accesses and
@@ -92,9 +104,10 @@ public:
 
 private:
   /// One resident line. Only Tag is machine state; Dirty is telemetry.
+  /// No default member initialisers: storage is allocated uninitialised.
   struct Line {
-    uint64_t Tag = 0;
-    bool Dirty = false;
+    uint64_t Tag;
+    bool Dirty;
   };
 
   uint64_t tagOf(Addr A) const {
@@ -108,15 +121,18 @@ private:
     return static_cast<unsigned>((A / Config.BlockBytes) % Config.NumSets);
   }
   Line *setLines(unsigned S) {
-    return Lines.data() + static_cast<size_t>(S) * Assoc;
+    return Lines.get() + static_cast<size_t>(S) * Assoc;
   }
   const Line *setLines(unsigned S) const {
-    return Lines.data() + static_cast<size_t>(S) * Assoc;
+    return Lines.get() + static_cast<size_t>(S) * Assoc;
   }
+  /// Copies \p Other's resident lines into this cache's storage, which
+  /// must have the same geometry.
+  void copyResident(const Cache &Other);
 
   // Everything lookup() touches sits in the leading fields: the shift/mask
   // geometry, the set stride and latency (copied out of Config so the hit
-  // path reads one region), and the two storage vectors.
+  // path reads one region), and the line and occupancy storage.
 
   /// Shift/mask fast path for power-of-two geometry (all Table 1 shapes).
   /// TagShift == 0 falls back to division — partitioned designs divide sets
@@ -125,14 +141,16 @@ private:
   uint64_t SetMask = 0;
   unsigned Assoc = 1;   ///< Copy of Config.Assoc (set stride).
   uint64_t Latency = 1; ///< Copy of Config.Latency.
-  /// Flat line storage, NumSets × Assoc: set S occupies
-  /// [S*Assoc, S*Assoc + Occupancy[S]) in MRU-to-LRU order. One
-  /// allocation instead of a vector per set keeps the lookup fast path —
-  /// the single hottest loop in the simulator — on one cache line, and a
-  /// hit at way 0 (the common case for looping programs) touches nothing
-  /// but the dirty bit.
-  std::vector<Line> Lines;
+  /// Flat line storage, NumSets × Assoc, allocated uninitialised: set S
+  /// holds lines only in [S*Assoc, S*Assoc + Occupancy[S]), in MRU-to-LRU
+  /// order, and nothing reads past that prefix, so construction and copies
+  /// touch only resident lines. One allocation instead of a vector per set
+  /// keeps the lookup fast path — the single hottest loop in the simulator
+  /// — on one cache line, and a hit at way 0 (the common case for looping
+  /// programs) touches nothing but the dirty bit.
+  std::unique_ptr<Line[]> Lines;
   std::vector<uint32_t> Occupancy; ///< Resident lines per set.
+  size_t Resident = 0;             ///< Sum of Occupancy.
   CacheConfig Config;
   CacheEvents Events;
 };

@@ -50,11 +50,13 @@ inline constexpr unsigned kMaxNestingDepth = 1000;
 /// over the AST recurses once per Seq, so a long flat program overflows the
 /// native stack just as deep nesting does. The parser counts the
 /// statements of a sequence together with those before it in every
-/// enclosing sequence — the Seq depth the statement will have. The limit
-/// is far above anything real: the example and app programs have at most 9
-/// statements in a sequence, random programs at most 3. It is kept well
-/// below what release builds could take because sanitizer builds spend
-/// about 8.5 KB of stack per Seq level in IR lowering.
+/// enclosing sequence — the Seq depth the statement will have. A block's
+/// statements sit one deeper than the statement holding the block, so
+/// blocks nest at most kMaxSequenceLength - 1 deep. The limit is far above
+/// anything real: the example and app programs have at most 9 statements
+/// in a sequence, random programs at most 3. It is kept well below what
+/// release builds could take because sanitizer builds spend kilobytes of
+/// stack per Seq level (IR lowering alone ≈2.7 KB under ASan).
 inline constexpr unsigned kMaxSequenceLength = 500;
 
 /// Bound on the element count of one array declaration. Memory allocates

@@ -318,14 +318,17 @@ Label TypeChecker::checkCmd(const Cmd &C, Label Pc, Label Tau, bool Quiet) {
     Label BodyPc = Lat.join(Le, Pc);
     Label TauPrime = Lat.join(Le, Lat.join(Tau, Er));
     for (unsigned Iter = 0; Iter <= Lat.size(); ++Iter) {
-      Label Next = checkCmd(W.body(), BodyPc, TauPrime, /*Quiet=*/true);
+      Label Next = checkLoopBodyQuietly(W, BodyPc, TauPrime);
       Label Joined = Lat.join(TauPrime, Next);
       if (Joined == TauPrime)
         break;
       TauPrime = Joined;
     }
-    // Final pass with reporting enabled.
-    checkCmd(W.body(), BodyPc, TauPrime, Quiet);
+    // Final pass, reporting unless this whole check is quiet.
+    if (Quiet)
+      checkLoopBodyQuietly(W, BodyPc, TauPrime);
+    else
+      checkCmd(W.body(), BodyPc, TauPrime, /*Quiet=*/false);
     Result = TauPrime;
     break;
   }
@@ -355,6 +358,21 @@ Label TypeChecker::checkCmd(const Cmd &C, Label Pc, Label Tau, bool Quiet) {
   if (!Quiet)
     EndLabels[C.nodeId()] = Result;
   return Result;
+}
+
+Label TypeChecker::checkLoopBodyQuietly(const WhileCmd &W, Label Pc,
+                                        Label Tau) {
+  const auto Key = std::make_tuple(&W, Pc.index(), Tau.index());
+  auto It = QuietLoopBodies.find(Key);
+  if (It == QuietLoopBodies.end()) {
+    const bool FailedBefore = Failed;
+    Failed = false;
+    Label End = checkCmd(W.body(), Pc, Tau, /*Quiet=*/true);
+    It = QuietLoopBodies.emplace(Key, QuietResult{End, Failed}).first;
+    Failed = FailedBefore;
+  }
+  Failed = Failed || It->second.Failed;
+  return It->second.End;
 }
 
 bool TypeChecker::check() {

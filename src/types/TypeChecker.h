@@ -38,7 +38,10 @@
 #include "lang/Ast.h"
 #include "support/Diagnostics.h"
 
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 
 namespace zam {
@@ -76,6 +79,10 @@ private:
   /// The judgment; returns the end label τ′ (a sound label even after
   /// reported errors, so checking continues).
   Label checkCmd(const Cmd &C, Label Pc, Label Tau, bool Quiet);
+  /// checkCmd(W.body(), Pc, Tau, Quiet=true), computed once per (loop, pc,
+  /// τ). T-WHILE checks its body at least twice, so without this, loops
+  /// nested n deep would take 2^n checks of the innermost body.
+  Label checkLoopBodyQuietly(const WhileCmd &W, Label Pc, Label Tau);
 
   void error(const Cmd &C, const std::string &Message, bool Quiet);
 
@@ -84,6 +91,14 @@ private:
   TypeCheckOptions Opts;
   const SecurityLattice &Lat;
   std::unordered_map<unsigned, Label> EndLabels;
+  /// A quiet check's end label and whether it found a violation.
+  struct QuietResult {
+    Label End;
+    bool Failed;
+  };
+  /// checkLoopBodyQuietly's results, keyed by (loop, pc, τ).
+  std::map<std::tuple<const WhileCmd *, uint32_t, uint32_t>, QuietResult>
+      QuietLoopBodies;
   std::optional<Label> ProgramEnd;
   bool Failed = false;
 };

@@ -4,6 +4,8 @@
 
 #include "gtest/gtest.h"
 
+#include <vector>
+
 using namespace zam;
 
 namespace {
@@ -228,4 +230,163 @@ TEST(Cache, DirectMappedConflicts) {
   C.install(B); // Conflict miss evicts A immediately.
   EXPECT_FALSE(C.probe(A));
   EXPECT_TRUE(C.probe(B));
+}
+
+//===----------------------------------------------------------------------===//
+// Copies: only the occupied prefix of each set is copied
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// A non-power-of-two geometry, so the division path is covered as well.
+CacheConfig oddConfig() {
+  CacheConfig C = smallConfig();
+  C.NumSets = 3;
+  C.Assoc = 3;
+  return C;
+}
+
+/// Brings \p C to a state with partly filled sets, an empty set, a full
+/// set after evictions, removed lines and dirty lines.
+void fillUnevenly(Cache &C) {
+  const unsigned Sets = C.config().NumSets;
+  for (uint64_t Tag = 1; Tag <= C.config().Assoc + 2; ++Tag) // Evicts twice.
+    C.install(Tag * Sets * 32, /*Dirty=*/Tag % 2 == 0);
+  C.install(1 * 32 + 5 * Sets * 32);
+  C.install(1 * 32 + 6 * Sets * 32, /*Dirty=*/true);
+  C.remove(1 * 32 + 5 * Sets * 32);
+  C.install(2 * 32 + 9 * Sets * 32);
+  C.remove(2 * 32 + 9 * Sets * 32); // Set 2 ends up empty again.
+}
+
+/// Drives one seeded stream of lookups (some marking dirty), probes,
+/// installs and removes over a pool that collides in every set. \returns
+/// the hit/miss outcome of every lookup and probe.
+std::vector<bool> driveStream(Cache &C, uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<bool> Outcomes;
+  const unsigned Sets = C.config().NumSets;
+  for (unsigned I = 0; I != 400; ++I) {
+    const uint64_t Tag = R.nextBelow(8);
+    const Addr A = (Tag * Sets + R.nextBelow(Sets)) * 32;
+    switch (R.nextBelow(4)) {
+    case 0:
+      Outcomes.push_back(C.probe(A));
+      break;
+    case 1:
+      C.remove(A);
+      break;
+    default: {
+      const bool Store = R.nextBelow(2) != 0;
+      const bool Hit = C.lookup(A, Store);
+      Outcomes.push_back(Hit);
+      if (!Hit)
+        C.install(A, Store);
+      break;
+    }
+    }
+  }
+  return Outcomes;
+}
+
+/// Checks that \p Copy is indistinguishable from \p Source: equal state and
+/// events now, and the same outcomes, state and events (so the same dirty
+/// bits) after one stream drives both.
+void expectSameBehaviour(Cache &Source, Cache &Copy, uint64_t Seed) {
+  EXPECT_TRUE(Copy == Source);
+  EXPECT_EQ(Copy.events(), Source.events());
+  EXPECT_EQ(driveStream(Copy, Seed), driveStream(Source, Seed));
+  EXPECT_TRUE(Copy == Source);
+  EXPECT_EQ(Copy.events(), Source.events());
+}
+
+/// Every starting state the copy tests use, built identically twice so one
+/// instance can serve as an independent reference.
+enum class Start { Cold, Installed, Uneven, Randomized, Emptied, Reset };
+
+void prepare(Cache &C, Start S) {
+  Rng R(99);
+  switch (S) {
+  case Start::Cold:
+    break;
+  case Start::Installed:
+    // Installs only: one clean and one dirty line in different sets.
+    C.install(0);
+    C.install(32, /*Dirty=*/true);
+    break;
+  case Start::Uneven:
+    fillUnevenly(C);
+    break;
+  case Start::Randomized:
+    C.randomize(R, 0.6);
+    C.install(0); // Fill and evict on top of the random state.
+    break;
+  case Start::Emptied:
+    // Held lines once, holds none now: copies take the empty fast path.
+    C.install(0);
+    C.install(32, /*Dirty=*/true);
+    C.remove(0);
+    C.remove(32);
+    break;
+  case Start::Reset:
+    fillUnevenly(C);
+    C.reset();
+    break;
+  }
+}
+
+const Start AllStarts[] = {Start::Cold, Start::Installed, Start::Uneven,
+                           Start::Randomized, Start::Emptied, Start::Reset};
+} // namespace
+
+TEST(CacheCopy, CopyConstructedBehavesLikeSource) {
+  for (const CacheConfig &Cfg : {smallConfig(), oddConfig()})
+    for (Start S : AllStarts) {
+      SCOPED_TRACE(static_cast<int>(S));
+      Cache Source(Cfg);
+      prepare(Source, S);
+      Cache Copy(Source);
+      expectSameBehaviour(Source, Copy, 7);
+    }
+}
+
+TEST(CacheCopy, CopyAssignedBehavesLikeSource) {
+  for (const CacheConfig &Cfg : {smallConfig(), oddConfig()})
+    for (Start S : AllStarts) {
+      SCOPED_TRACE(static_cast<int>(S));
+      Cache Source(Cfg);
+      prepare(Source, S);
+      // Same geometry, storage reused: its stale lines must not show.
+      Cache Same(Cfg);
+      Rng R(5);
+      Same.randomize(R, 1.0);
+      Same = Source;
+      expectSameBehaviour(Source, Same, 11);
+      // Other geometry: storage reallocated.
+      Cache Other(Cfg.NumSets == 3 ? smallConfig() : oddConfig());
+      fillUnevenly(Other);
+      Other = Source;
+      EXPECT_EQ(Other.config(), Source.config());
+      expectSameBehaviour(Source, Other, 13);
+    }
+}
+
+TEST(CacheCopy, ChangingTheCopyLeavesTheSource) {
+  for (Start S : AllStarts) {
+    SCOPED_TRACE(static_cast<int>(S));
+    Cache Source(smallConfig()), Reference(smallConfig());
+    prepare(Source, S);
+    prepare(Reference, S);
+    Cache Copy(Source);
+    Cache Assigned(smallConfig());
+    Assigned = Source;
+    driveStream(Copy, 3);
+    driveStream(Assigned, 4);
+    Rng R(8);
+    Copy.randomize(R);
+    EXPECT_TRUE(Source == Reference);
+    EXPECT_EQ(Source.events(), Reference.events());
+    // The source still behaves exactly like its independent twin, dirty
+    // bits included.
+    expectSameBehaviour(Reference, Source, 17);
+  }
 }

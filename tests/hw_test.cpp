@@ -445,3 +445,63 @@ TEST(HwStream, DigestsArePinned) {
             << hwKindName(allHwKinds()[K]) << " lattice " << L
             << (Observed ? " observed" : "");
 }
+
+//===----------------------------------------------------------------------===//
+// Clones: a clone carries exactly the template's state
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Drives the access mix of hwStreamDigest, 1500 accesses seeded by
+/// \p Seed, through \p Env. \returns every latency.
+std::vector<uint64_t> driveHwStream(MachineEnv &Env, uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<uint64_t> Latencies;
+  const unsigned N = Env.lattice().size();
+  for (unsigned I = 0; I != 1500; ++I) {
+    const Addr Off = R.nextBelow(12) * 0x10000 + R.nextBelow(4) * 32;
+    const Label Read = Label::fromIndex(static_cast<unsigned>(R.nextBelow(N)));
+    const Label Write = Label::fromIndex(static_cast<unsigned>(R.nextBelow(N)));
+    switch (R.nextBelow(3)) {
+    case 0:
+      Latencies.push_back(Env.fetch(0x40000000 + Off, Read, Write));
+      break;
+    case 1:
+      Latencies.push_back(Env.dataAccess(DataA + Off, false, Read, Write));
+      break;
+    default:
+      Latencies.push_back(Env.dataAccess(DataA + Off, true, Read, Write));
+      break;
+    }
+  }
+  return Latencies;
+}
+} // namespace
+
+TEST(HwClone, ClonesOfColdAndRandomizedTemplatesAgree) {
+  const PowersetLattice Powerset({"Alice", "Bob"});
+  const SecurityLattice *Lats[] = {&lh(), &lmh(), &Powerset};
+  for (HwKind Kind : allHwKinds())
+    for (const SecurityLattice *Lat : Lats)
+      for (bool Randomized : {false, true}) {
+        SCOPED_TRACE(std::string(hwKindName(Kind)) + " over " +
+                     std::to_string(Lat->size()) + " levels" +
+                     (Randomized ? ", randomized" : ", cold"));
+        auto Template = createMachineEnv(Kind, *Lat, cfg());
+        if (Randomized) {
+          Rng R(0x5eed);
+          Template->randomize(R);
+          driveHwStream(*Template, 1); // Nonzero stats and dirty lines.
+        }
+        auto A = Template->clone(), B = Template->clone();
+        EXPECT_TRUE(A->stateEquals(*Template));
+        EXPECT_EQ(A->stats(), Template->stats());
+        const std::vector<uint64_t> LatA = driveHwStream(*A, 2);
+        EXPECT_EQ(driveHwStream(*B, 2), LatA);
+        EXPECT_EQ(A->stats(), B->stats());
+        EXPECT_TRUE(A->stateEquals(*B));
+        // The template is untouched by its clones and behaves like them.
+        EXPECT_EQ(driveHwStream(*Template, 2), LatA);
+        EXPECT_EQ(Template->stats(), A->stats());
+        EXPECT_TRUE(Template->stateEquals(*A));
+      }
+}

@@ -160,6 +160,30 @@ std::string chainOf(unsigned Operators) {
   return S + "\n";
 }
 
+/// \p Blocks nested blocks around `x := - - … - 1` with \p Negations unary
+/// minuses. The blocks alternate if and while, with a mitigate every 100
+/// levels, so each pass takes every recursive path; every guard holds until
+/// the innermost block runs.
+std::string nestedProgram(unsigned Blocks, unsigned Negations) {
+  std::string Open, Close;
+  for (unsigned I = 0; I != Blocks; ++I) {
+    if (I % 100 == 50) {
+      Open += "mitigate (1, L) {\n";
+      Close = "}\n" + Close;
+    } else if (I % 2 == 0) {
+      Open += "if x == 0 then {\n";
+      Close = "} else { skip }\n" + Close;
+    } else {
+      Open += "while x == 0 do {\n";
+      Close = "}\n" + Close;
+    }
+  }
+  std::string Value;
+  for (unsigned I = 0; I != Negations; ++I)
+    Value += "- ";
+  return Open + "x := " + Value + "1\n" + Close;
+}
+
 /// Parses \p Body over `var x : L` and drives it through inference, the
 /// type checker, the printer and a full run: every pass that recurses over
 /// the AST. \returns the final x.
@@ -197,6 +221,22 @@ TEST(Parser, LongestOperatorChainRunsAndOneMoreIsRejected) {
   EXPECT_EQ(runEveryPass(chainOf(Longest)), int64_t(Longest) + 1);
   expectRejected("var x : L;\n" + chainOf(Longest + 1),
                  "nesting exceeds the limit");
+}
+
+TEST(Parser, DeepestNestingRunsAndOneMoreIsRejected) {
+  // Each nested statement sits one Seq deeper than the statement holding
+  // its block, so blocks nest at most kMaxSequenceLength - 1 deep; unary
+  // minuses fill the rest of kMaxNestingDepth (the innermost operand holds
+  // a level of its own). Every pass, IR lowering included, must fit the
+  // stack of a sanitizer build at this bound.
+  const unsigned Blocks = kMaxSequenceLength - 1;
+  const unsigned Negations = kMaxNestingDepth - Blocks - 1;
+  EXPECT_EQ(runEveryPass(nestedProgram(Blocks, Negations)),
+            Negations % 2 ? -1 : 1);
+  expectRejected("var x : L;\n" + nestedProgram(Blocks, Negations + 1),
+                 "nesting exceeds the limit");
+  expectRejected("var x : L;\n" + nestedProgram(Blocks + 1, 0),
+                 "statement sequence exceeds the limit");
 }
 
 TEST(Parser, EnclosingSequencesCountTowardTheSequenceLimit) {

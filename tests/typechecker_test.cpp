@@ -114,6 +114,27 @@ TEST(TypeChecker, WhileFixpointStabilizes) {
                       "l := 1"));
 }
 
+TEST(TypeChecker, DeeplyNestedLoopsReportEachViolationOnce) {
+  // T-WHILE checks its body until τ′ is stable and then once more with
+  // reporting; unless those checks are shared, 60 nested loops take 2^60
+  // checks of the innermost body.
+  std::string Open, Close;
+  for (unsigned I = 0; I != 60; ++I) {
+    Open += "while l == 0 do {\n";
+    Close += "}\n";
+  }
+  const std::string Decls = "var h : H;\nvar l : L;\n";
+  const std::string Mitigated = "mitigate (1, H) { sleep(h) };\nl := 1\n";
+  EXPECT_TRUE(checks(Decls + Open + Mitigated + Close));
+  const std::string Diags =
+      diagsFor(Decls + Open + "sleep(h);\nl := 1\n" + Close);
+  size_t Reports = 0;
+  for (size_t At = Diags.find("leaks"); At != std::string::npos;
+       At = Diags.find("leaks", At + 1))
+    ++Reports;
+  EXPECT_EQ(Reports, 1u) << Diags;
+}
+
 TEST(TypeChecker, LoopCounterUpdateAfterHighTimingInBodyRejected) {
   // Inside the body, τ is already high after sleep(h), so the update of the
   // low counter is rejected (this is why the login scan uses a high
