@@ -111,14 +111,15 @@ int64_t maxRsaBodyTime(const SecurityLattice &Lat, const RsaKey &Key,
   Probe.Mode = RsaMitigationMode::PerBlock;
   Probe.Estimate = int64_t(1) << 40; // Never mispredicts; body time is exact.
   Probe.MaxBlocks = 1;
-  Program P = buildRsaProgram(Lat, Key, Probe);
+  const Program P = buildRsaProgram(Lat, Key, Probe);
+  const CompiledProgram Compiled(P);
   int64_t MaxBody = 1;
   Rng R(Seed);
   for (unsigned I = 0; I != Samples; ++I) {
     for (int64_t D : Exponents) {
       std::unique_ptr<MachineEnv> Env = EnvTemplate.clone();
       uint64_t C = 2 + R.nextBelow(Key.N - 2);
-      RunResult RR = runFull(P, *Env, [&](Memory &M) {
+      RunResult RR = runFull(Compiled, *Env, [&](Memory &M) {
         M.store("d", D);
         setRsaMessage(M, {C});
       });

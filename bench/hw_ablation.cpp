@@ -106,12 +106,13 @@ int main(int Argc, char **Argv) {
   // Telemetry of record: one login attempt per design on fresh
   // environments, prefixed by design name — the hit/miss/line-fill split
   // is precisely what differs between the three realizations.
+  LoginProgramConfig RepConfig;
+  RepConfig.Mitigated = false;
+  const Program RepP = buildLoginProgram(Lat, Table, RepConfig);
+  const CompiledProgram RepCompiled(RepP);
   for (HwKind Kind : Kinds) {
-    LoginProgramConfig Config;
-    Config.Mitigated = false;
     auto Env = createMachineEnv(Kind, Lat);
-    Program P = buildLoginProgram(Lat, Table, Config);
-    RunResult RepRun = runFull(P, *Env, [&](Memory &M) {
+    RunResult RepRun = runFull(RepCompiled, *Env, [&](Memory &M) {
       setLoginRequest(M, "user0", "x");
     });
     const std::string Prefix = std::string(hwKindName(Kind)) + ".";

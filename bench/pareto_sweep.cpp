@@ -89,14 +89,13 @@ FrontierRow sweepWorkload(const SecurityLattice &Lat,
   Sel.Default = &Policy;
   LeakAudit Audit(Lat, std::nullopt, Sel);
 
+  const CompiledProgram Compiled(*P, CostModel(), Sel);
   FrontierRow Row;
   std::set<uint64_t> Durations;
   uint64_t Padded = 0, Body = 0;
   for (int64_t H = 0; H <= 40000; H += 997) {
     auto Env = createMachineEnv(HwKind::Partitioned, Lat);
-    InterpreterOptions Opts;
-    Opts.Mitigation = Sel;
-    FullInterpreter Interp(*P, *Env, Opts);
+    FullInterpreter Interp(Compiled, *Env);
     Interp.memory().store("h", H);
     RunResult R = Interp.run();
     Audit.ingest(R.T);
@@ -125,8 +124,8 @@ FrontierRow loginWorkload(const SecurityLattice &Lat, const LoginTable &Table,
 
   PolicySelection Sel;
   Sel.Default = &Policy;
-  InterpreterOptions Opts;
-  Opts.Mitigation = Sel;
+  const CompiledProgram Compiled(P, CostModel(), Sel);
+  RunOptions Opts;
   // A server session: one machine environment and one Miss table across
   // the attempts, exactly like LoginSession.
   MitigationState St(Lat, Sel.base(), Opts.Penalty);
@@ -138,7 +137,7 @@ FrontierRow loginWorkload(const SecurityLattice &Lat, const LoginTable &Table,
   uint64_t Padded = 0, Body = 0;
   for (unsigned I = 0; I != LoginAttempts; ++I) {
     RunResult R = runFull(
-        P, *Env,
+        Compiled, *Env,
         [&](Memory &M) {
           setLoginRequest(M, "user" + std::to_string(I),
                           "pass" + std::to_string(I));

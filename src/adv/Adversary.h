@@ -92,7 +92,10 @@ inline constexpr size_t kObservationChunk = 2048;
 /// observations is alive at a time, so collecting 10^6 samples needs
 /// O(chunk) memory; the callback owns all retention (compact rows, online
 /// histograms, trace records). Aborts on an unknown Fixed/Ranges variable
-/// (callers validate for graceful errors). \returns the sample count.
+/// (callers validate for graceful errors). \p P is compiled once per call
+/// and every sample runs that one CompiledProgram, shared as const across
+/// the workers; each worker recycles one environment's storage for its
+/// samples (MachineEnv::cloneInto). \returns the sample count.
 size_t streamObservations(
     const Program &P, const MachineEnv &EnvTemplate,
     const std::vector<SecretClassSpec> &Classes, const AttackOptions &Opts,

@@ -56,10 +56,11 @@ PropertyReport zam::checkAdequacy(const Program &P,
 PropertyReport zam::checkDeterminism(const Program &P,
                                      const MachineEnv &EnvTemplate,
                                      InterpreterOptions Opts) {
+  const CompiledProgram Compiled(P, Opts.Costs, Opts.Mitigation);
   std::unique_ptr<MachineEnv> E1 = EnvTemplate.clone();
   std::unique_ptr<MachineEnv> E2 = EnvTemplate.clone();
-  RunResult R1 = runFull(P, *E1, Opts);
-  RunResult R2 = runFull(P, *E2, Opts);
+  RunResult R1 = runFull(Compiled, *E1, Opts.runOptions());
+  RunResult R2 = runFull(Compiled, *E2, Opts.runOptions());
 
   if (R1.T.FinalTime != R2.T.FinalTime)
     return PropertyReport::fail(
@@ -130,12 +131,20 @@ PropertyReport zam::checkSleepDuration(const Program &P, int64_t N, Label Read,
   return PropertyReport::ok();
 }
 
-/// Performs exactly one transition of \p C and returns the interpreter.
-static StepInterpreter oneStep(const Program &P, const Cmd &C, Memory M,
-                               MachineEnv &Env, InterpreterOptions Opts) {
-  StepInterpreter Interp(P, C.clone(), std::move(M), Env, Opts);
+/// Performs exactly one transition of the compiled command \p C from
+/// memory \p M and returns the interpreter.
+static StepInterpreter oneStep(const CompiledProgram &C, Memory M,
+                               MachineEnv &Env,
+                               const InterpreterOptions &Opts) {
+  StepInterpreter Interp(C, std::move(M), Env, Opts.runOptions());
   Interp.step();
   return Interp;
+}
+
+/// Compiles the detached command \p C for the checkers' paired steps.
+static CompiledProgram compileCommand(const Program &P, const Cmd &C,
+                                      const InterpreterOptions &Opts) {
+  return CompiledProgram(P, C.clone(), Opts.Costs, Opts.Mitigation);
 }
 
 const Cmd &zam::activeCommand(const Cmd &C) {
@@ -160,7 +169,7 @@ PropertyReport zam::checkWriteLabel(const Program &P, const Cmd &C,
 
   std::unique_ptr<MachineEnv> Pre = EnvTemplate.clone();
   std::unique_ptr<MachineEnv> Env = EnvTemplate.clone();
-  oneStep(P, C, InitialMemory, *Env, Opts);
+  oneStep(compileCommand(P, C, Opts), InitialMemory, *Env, Opts);
 
   for (Label L : Lat.allLabels()) {
     if (Lat.flowsTo(Ew, L))
@@ -193,8 +202,9 @@ PropertyReport zam::checkReadLabel(const Program &P, const Cmd &C,
 
   std::unique_ptr<MachineEnv> Env1 = E1.clone();
   std::unique_ptr<MachineEnv> Env2 = E2.clone();
-  StepInterpreter S1 = oneStep(P, C, M1, *Env1, Opts);
-  StepInterpreter S2 = oneStep(P, C, M2, *Env2, Opts);
+  const CompiledProgram Compiled = compileCommand(P, C, Opts);
+  StepInterpreter S1 = oneStep(Compiled, M1, *Env1, Opts);
+  StepInterpreter S2 = oneStep(Compiled, M2, *Env2, Opts);
 
   if (S1.clock() != S2.clock())
     return PropertyReport::fail(
@@ -230,8 +240,9 @@ PropertyReport zam::checkSingleStepNI(const Program &P, const Cmd &C,
 
   std::unique_ptr<MachineEnv> Env1 = E1.clone();
   std::unique_ptr<MachineEnv> Env2 = E2.clone();
-  oneStep(P, C, M1, *Env1, Opts);
-  oneStep(P, C, M2, *Env2, Opts);
+  const CompiledProgram Compiled = compileCommand(P, C, Opts);
+  oneStep(Compiled, M1, *Env1, Opts);
+  oneStep(Compiled, M2, *Env2, Opts);
 
   if (!Env1->equivalentUpTo(*Env2, Level))
     return PropertyReport::fail(
@@ -253,11 +264,12 @@ PropertyReport zam::checkNoninterference(const Program &P, const Memory &M1,
   std::unique_ptr<MachineEnv> Env1 = E1.clone();
   std::unique_ptr<MachineEnv> Env2 = E2.clone();
 
-  FullInterpreter I1(P, *Env1, Opts);
+  const CompiledProgram Compiled(P, Opts.Costs, Opts.Mitigation);
+  FullInterpreter I1(Compiled, *Env1, Opts.runOptions());
   I1.memory() = M1;
   RunResult R1 = I1.run();
 
-  FullInterpreter I2(P, *Env2, Opts);
+  FullInterpreter I2(Compiled, *Env2, Opts.runOptions());
   I2.memory() = M2;
   RunResult R2 = I2.run();
 

@@ -199,14 +199,16 @@ void zam::setLoginRequest(Memory &M, const std::string &Username,
 LoginSession::LoginSession(const SecurityLattice &Lat, const LoginTable &Table,
                            const LoginProgramConfig &Config, MachineEnv &Env,
                            InterpreterOptions Opts)
-    : P(buildLoginProgram(Lat, Table, Config)), Env(Env), Opts(Opts),
+    : P(buildLoginProgram(Lat, Table, Config)),
+      Compiled(P, Opts.Costs, Opts.Mitigation), Env(Env),
+      Opts(Opts.runOptions()),
       MitState(Lat, Opts.Mitigation.base(), Opts.Penalty) {
   this->Opts.SharedMitState = &MitState;
 }
 
 LoginAttemptResult LoginSession::attempt(const std::string &Username,
                                          const std::string &Password) {
-  FullInterpreter Interp(P, Env, Opts);
+  FullInterpreter Interp(Compiled, Env, Opts);
   setLoginRequest(Interp.memory(), Username, Password);
   RunResult R = Interp.run();
   LoginAttemptResult Out;
@@ -226,7 +228,8 @@ zam::calibrateLoginEstimates(const SecurityLattice &Lat,
   Config.Estimate2 = 1;
 
   std::unique_ptr<MachineEnv> Env = EnvTemplate.clone();
-  Program P = buildLoginProgram(Lat, Table, Config);
+  const Program P = buildLoginProgram(Lat, Table, Config);
+  const CompiledProgram Compiled(P);
 
   // Sample both code paths: valid usernames (when the table has any) and
   // invalid ones. Track the per-mitigate maximum over the *warm* samples
@@ -238,10 +241,10 @@ zam::calibrateLoginEstimates(const SecurityLattice &Lat,
       User = Table.ValidUsernames[R.nextBelow(Table.ValidUsernames.size())];
     else
       User = "ghost" + std::to_string(R.nextBelow(1000));
-    InterpreterOptions Opts;
+    RunOptions Opts;
     MitigationState St(Lat, fastDoublingPolicy(), Opts.Penalty);
     Opts.SharedMitState = &St;
-    FullInterpreter Interp(P, *Env, Opts);
+    FullInterpreter Interp(Compiled, *Env, Opts);
     setLoginRequest(Interp.memory(), User, "pass" + std::to_string(I));
     RunResult Res = Interp.run();
     if (I == 0)

@@ -105,7 +105,8 @@ struct LoginAttemptResult {
 };
 
 /// A login session: runs attempts against one machine environment and a
-/// persistent mitigation Miss table, as a server would.
+/// persistent mitigation Miss table, as a server would. The program is
+/// compiled once, at construction; every attempt runs that compiled form.
 class LoginSession {
 public:
   LoginSession(const SecurityLattice &Lat, const LoginTable &Table,
@@ -127,8 +128,9 @@ public:
 
 private:
   Program P;
+  CompiledProgram Compiled;
   MachineEnv &Env;
-  InterpreterOptions Opts;
+  RunOptions Opts;
   MitigationState MitState;
 };
 

@@ -81,7 +81,8 @@ struct RsaDecryptResult {
 };
 
 /// A decryption session over one machine environment and persistent
-/// mitigation state.
+/// mitigation state. The program is compiled once, at construction; every
+/// decryption runs that compiled form.
 class RsaSession {
 public:
   RsaSession(const SecurityLattice &Lat, const RsaKey &Key,
@@ -94,8 +95,9 @@ public:
 
 private:
   Program P;
+  CompiledProgram Compiled;
   MachineEnv &Env;
-  InterpreterOptions Opts;
+  RunOptions Opts;
   MitigationState MitState;
 };
 

@@ -22,16 +22,17 @@ void RunSpec::applyTo(Memory &M) const {
 
 Scenario::Scenario(const Program &P, HwKind Hw, MachineEnvConfig Config,
                    InterpreterOptions Opts)
-    : P(&P), Opts(Opts),
+    : Opts(Opts.runOptions()), Compiled(P, Opts.Costs, Opts.Mitigation),
       EnvTemplate(createMachineEnv(Hw, P.lattice(), Config)) {}
 
 Scenario::Scenario(const Program &P, const MachineEnv &EnvTemplate,
                    InterpreterOptions Opts)
-    : P(&P), Opts(Opts), EnvTemplate(EnvTemplate.clone()) {}
+    : Opts(Opts.runOptions()), Compiled(P, Opts.Costs, Opts.Mitigation),
+      EnvTemplate(EnvTemplate.clone()) {}
 
 RunResult Scenario::run(const RunSpec &Spec) const {
   std::unique_ptr<MachineEnv> Env = EnvTemplate->clone();
-  return runFull(*P, *Env, [&](Memory &M) { Spec.applyTo(M); }, Opts);
+  return runFull(Compiled, *Env, [&](Memory &M) { Spec.applyTo(M); }, Opts);
 }
 
 std::vector<RunResult> Scenario::runAll(const std::vector<RunSpec> &Specs,

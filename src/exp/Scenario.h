@@ -12,10 +12,12 @@
 /// interpreter options — and a RunSpec describes one run's inputs (scalar
 /// and array overrides plus an arbitrary memory-preparation hook).
 ///
-/// Scenarios are shared read-only across worker threads; every run clones
-/// the environment template, so concurrent runs never touch shared mutable
-/// state. Session-style workloads (persistent mitigation state across
-/// requests) fan out at series granularity instead, via SeriesSpec.
+/// Scenarios are shared read-only across worker threads: the program is
+/// compiled once, at construction, and every run borrows that one
+/// CompiledProgram and clones the environment template, so concurrent runs
+/// never touch shared mutable state. Session-style workloads (persistent
+/// mitigation state across requests) fan out at series granularity
+/// instead, via SeriesSpec.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +49,8 @@ struct RunSpec {
 
 /// A shared experiment context: program + environment template + options.
 /// Immutable after construction; safe to use from any number of worker
-/// threads concurrently (each run clones the template).
+/// threads concurrently (each run clones the template and copies the
+/// compiled program's image).
 class Scenario {
 public:
   /// Builds the machine environment from a design kind and configuration.
@@ -59,9 +62,8 @@ public:
   Scenario(const Program &P, const MachineEnv &EnvTemplate,
            InterpreterOptions Opts = InterpreterOptions());
 
-  const Program &program() const { return *P; }
+  const Program &program() const { return Compiled.program(); }
   const MachineEnv &envTemplate() const { return *EnvTemplate; }
-  const InterpreterOptions &options() const { return Opts; }
   std::unique_ptr<MachineEnv> cloneEnv() const {
     return EnvTemplate->clone();
   }
@@ -75,8 +77,8 @@ public:
                                 const ParallelRunner &Runner) const;
 
 private:
-  const Program *P;
-  InterpreterOptions Opts;
+  RunOptions Opts;
+  CompiledProgram Compiled;
   std::unique_ptr<MachineEnv> EnvTemplate;
 };
 

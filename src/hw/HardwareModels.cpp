@@ -86,6 +86,15 @@ public:
   std::unique_ptr<MachineEnv> clone() const override {
     return std::make_unique<CacheHierarchy>(*this);
   }
+  std::unique_ptr<MachineEnv>
+  cloneInto(std::unique_ptr<MachineEnv> Storage) const override {
+    auto *Into = dynamic_cast<CacheHierarchy *>(Storage.get());
+    if (!Into)
+      return clone();
+    // Cache assignment reuses line storage of equal capacity.
+    *Into = *this;
+    return Storage;
+  }
   bool projectionEquals(const MachineEnv &Other, Label L) const override;
   void reset() override;
   void randomize(Rng &R) override;

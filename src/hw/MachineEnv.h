@@ -110,6 +110,18 @@ public:
   /// on, audited by the CloneAudit tests in tests/exp_test.cpp.
   virtual std::unique_ptr<MachineEnv> clone() const = 0;
 
+  /// clone() for callers that copy one template run after run: makes
+  /// \p Storage (an earlier clone, or null) a deep copy of this
+  /// environment and returns it, reusing its memory where the design can,
+  /// and otherwise returns clone(). Either way the result is
+  /// indistinguishable from clone()'s. Without it, a sampler allocates and
+  /// frees every cache's line storage once per run.
+  virtual std::unique_ptr<MachineEnv>
+  cloneInto(std::unique_ptr<MachineEnv> Storage) const {
+    (void)Storage;
+    return clone();
+  }
+
   /// Projected equivalence E1 ≈ℓ E2 (Sec. 3.3): equality of exactly the
   /// level-ℓ partition of the state. For unpartitioned designs all state
   /// lives at ⊥, so the projection at any other level is trivially equal.
@@ -163,7 +175,15 @@ protected:
   MachineEnv(const MachineEnv &Other)
       : Kind(Other.Kind), Lat(Other.Lat), Config(Other.Config),
         Stats(Other.Stats) {}
-  MachineEnv &operator=(const MachineEnv &) = delete;
+  /// Likewise; the target's observer is detached, as a fresh clone's is.
+  MachineEnv &operator=(const MachineEnv &Other) {
+    Kind = Other.Kind;
+    Lat = Other.Lat;
+    Config = Other.Config;
+    Stats = Other.Stats;
+    Obs = nullptr;
+    return *this;
+  }
 
   void notifyAccess(const HwAccess &Access) {
     if (Obs)

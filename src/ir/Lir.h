@@ -25,7 +25,10 @@
 ///     so the index in r0 survives).
 ///   - The LIR is purely static data, shareable by any number of cores;
 ///     per-run state (the register file, the slot-data pointer table)
-///     lives in the execution core.
+///     lives in the execution core. Every run of a CompiledProgram
+///     (sem/CompiledProgram.h) borrows its one LIR; exp_test's
+///     Scenario.RunAllSharesOneCompiledProgramAcrossWorkers runs one from
+///     8 workers at once, under TSan in CI.
 ///
 //===----------------------------------------------------------------------===//
 

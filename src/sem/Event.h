@@ -120,6 +120,8 @@ struct Trace {
   /// to count distinguishable observations in Definition 1.
   std::string observationKey(Label AdversaryLevel,
                              const SecurityLattice &Lat) const;
+
+  bool operator==(const Trace &Other) const = default;
 };
 
 } // namespace zam

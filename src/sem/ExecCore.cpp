@@ -62,25 +62,25 @@ int64_t zam::evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
   return SP[-1];
 }
 
-ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
-                   MachineEnv &Env, const InterpreterOptions &Opts)
-    : P(P), Env(Env), Opts(Opts), Probe(this->Opts.Probe),
-      Prov(this->Opts.Provenance), BaseStepCost(this->Opts.Costs.BaseStep),
-      AluCost(this->Opts.Costs.AluOp), StepLimit(this->Opts.StepLimit),
-      M(std::move(InitM)),
-      OwnMitState(P.lattice(), this->Opts.Mitigation.base(), Opts.Penalty),
-      MitState(Opts.SharedMitState ? *Opts.SharedMitState : OwnMitState),
-      Code(L.Insts.data()), Uops(L.Uops.data()),
-      TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr) {
-  Regs.resize(L.NumRegs ? L.NumRegs : 1);
+ExecCore::ExecCore(const CompiledProgram &C, Memory InitM, MachineEnv &Env,
+                   RunOptions Opts)
+    : Compiled(C), Env(Env), Opts(std::move(Opts)), Probe(this->Opts.Probe),
+      Prov(this->Opts.Provenance), BaseStepCost(C.costs().BaseStep),
+      AluCost(C.costs().AluOp), BranchCost(C.costs().Branch),
+      StepLimit(this->Opts.StepLimit), M(std::move(InitM)),
+      OwnMitState(C.program().lattice(), C.mitigation().base(),
+                  this->Opts.Penalty),
+      MitState(this->Opts.SharedMitState ? *this->Opts.SharedMitState
+                                         : OwnMitState),
+      Code(C.lir().Insts.data()), Uops(C.lir().Uops.data()),
+      TrackCursor(this->Opts.RecordMisses || this->Opts.Provenance != nullptr) {
+  Regs.resize(C.lir().NumRegs ? C.lir().NumRegs : 1);
   SlotData.resize(M.slotCount());
   for (size_t I = 0; I != SlotData.size(); ++I)
     SlotData[I] = M.slotAt(I).Data.data();
-  if (L.IR) {
-    Frames.reserve(L.IR->MaxMitDepth);
-    if (Probe)
-      Probe->onProgram(*L.IR);
-  }
+  Frames.reserve(C.ir().MaxMitDepth);
+  if (Probe)
+    Probe->onProgram(C.ir());
   if (Code[PC].K == IrInstr::Op::Halt) {
     Halted = true;
     finalize();
@@ -211,7 +211,7 @@ void ExecCore::execStore(const LirInst &I) {
 void ExecCore::execBranch(const LirInst &I) {
   head(I);
   ++T.Ops.Branches;
-  uint64_t Cycles = stepBase(I) + Opts.Costs.Branch;
+  uint64_t Cycles = stepBase(I) + BranchCost;
   const int64_t Guard = evalSpan(I, I.U0, I.N0, Cycles);
   charge(CycleKind::Step, Cycles);
   G += Cycles;
@@ -245,7 +245,7 @@ void ExecCore::execMitEnter(const LirInst &I) {
   charge(CycleKind::Step, Cycles);
   G += Cycles;
   Frames.push_back({I.Eta, N, I.MitLevel, I.PcLabel, G,
-                    I.Policy ? I.Policy : &Opts.Mitigation.base()});
+                    I.Policy ? I.Policy : &Compiled.mitigation().base()});
   Cur.Site = I.Eta;
   PC = I.Next;
 }
@@ -342,6 +342,6 @@ void ExecCore::run() {
 void ExecCore::finalize() {
   T.FinalTime = G;
   T.FinalMissTable.clear();
-  for (Label L : P.lattice().allLabels())
+  for (Label L : Compiled.program().lattice().allLabels())
     T.FinalMissTable.push_back(MitState.misses(L));
 }

@@ -31,9 +31,10 @@
 /// drivers share a single transition discipline and every observable is
 /// bit-identical whichever drives the core.
 ///
-/// The LIR is immutable; the core holds all run state, so engines stay
-/// thin wrappers that only decide when to call step()/run() and when to
-/// install the hardware observer.
+/// The compiled program (sem/CompiledProgram.h) is immutable and shared;
+/// the core holds all run state, so engines stay thin wrappers that only
+/// decide when to call step()/run() and when to install the hardware
+/// observer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +44,7 @@
 #include "hw/MachineEnv.h"
 #include "ir/Ir.h"
 #include "ir/Lir.h"
+#include "sem/CompiledProgram.h"
 #include "sem/Eval.h"
 #include "sem/Event.h"
 #include "sem/FullInterpreter.h"
@@ -69,11 +71,14 @@ int64_t evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
 
 class ExecCore final : public HwObserver {
 public:
-  /// Executes \p L (which, with its IR tier, must outlive the core) with
-  /// initial memory \p InitM on \p Env. \p P provides the lattice and
-  /// declarations.
-  ExecCore(const LirProgram &L, const Program &P, Memory InitM,
-           MachineEnv &Env, const InterpreterOptions &Opts);
+  /// Executes \p C (which must outlive the core) from initial memory
+  /// \p InitM on \p Env.
+  ExecCore(const CompiledProgram &C, Memory InitM, MachineEnv &Env,
+           RunOptions Opts);
+
+  /// Whether a hardware observer must be installed for this run (miss
+  /// sampling or a provenance sink listens).
+  bool observesHardware() const { return TrackCursor; }
 
   /// Whether the configuration has reached ⟨stop, m, E, G⟩ (or the step
   /// limit).
@@ -155,16 +160,18 @@ private:
     const MitigationPolicy *Policy = nullptr;
   };
 
-  const Program &P;
+  const CompiledProgram &Compiled;
   MachineEnv &Env;
-  InterpreterOptions Opts;
-  /// Hot copies of the per-dispatch Opts fields: the dispatch loop reads
-  /// these every transition, and pulling them next to the rest of the run
-  /// state spares it the walk through the options block.
+  RunOptions Opts;
+  /// Hot copies of the per-dispatch option and cost fields: the dispatch
+  /// loop reads these every transition, and pulling them next to the rest
+  /// of the run state spares it the walk through the options block and the
+  /// compiled program.
   ExecProbe *Probe;
   CostSink *Prov;
   uint64_t BaseStepCost;
   uint64_t AluCost;
+  uint64_t BranchCost;
   uint64_t StepLimit;
   Memory M;
   MitigationState OwnMitState;

@@ -2,7 +2,6 @@
 
 #include "sem/FullInterpreter.h"
 
-#include "ir/Lowering.h"
 #include "sem/ExecCore.h"
 #include "support/Diagnostics.h"
 
@@ -10,12 +9,21 @@ using namespace zam;
 
 FullInterpreter::FullInterpreter(const Program &P, MachineEnv &Env,
                                  InterpreterOptions Opts)
-    : Env(Env), Opts(Opts),
-      IR(std::make_unique<IrProgram>(
-          lowerProgram(P, Opts.Costs, Opts.Mitigation))),
-      LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
-      Core(std::make_unique<ExecCore>(
-          *LIR, P, Memory::fromProgram(P, Opts.Costs.DataBase), Env, Opts)) {}
+    : FullInterpreter(
+          std::make_unique<CompiledProgram>(P, Opts.Costs, Opts.Mitigation),
+          Env, Opts.runOptions()) {}
+
+FullInterpreter::FullInterpreter(const CompiledProgram &C, MachineEnv &Env,
+                                 RunOptions Opts)
+    : Env(Env), Core(std::make_unique<ExecCore>(C, C.initialMemory(), Env,
+                                                std::move(Opts))) {}
+
+FullInterpreter::FullInterpreter(std::unique_ptr<CompiledProgram> Owned,
+                                 MachineEnv &Env, const RunOptions &Opts)
+    : Env(Env), Owned(std::move(Owned)),
+      Core(std::make_unique<ExecCore>(*this->Owned,
+                                      this->Owned->releaseImage(), Env,
+                                      Opts)) {}
 
 FullInterpreter::~FullInterpreter() = default;
 
@@ -30,7 +38,7 @@ RunResult FullInterpreter::run() {
 
   // The core doubles as the hardware observer, but installing it costs a
   // virtual call per access — only pay when someone listens.
-  const bool Observe = Opts.RecordMisses || Opts.Provenance != nullptr;
+  const bool Observe = Core->observesHardware();
   HwObserver *Prior = nullptr;
   if (Observe) {
     Prior = Env.observer();
@@ -49,15 +57,28 @@ RunResult FullInterpreter::run() {
 
 RunResult zam::runFull(const Program &P, MachineEnv &Env,
                        InterpreterOptions Opts) {
-  FullInterpreter I(P, Env, Opts);
-  return I.run();
+  return runFull(P, Env, nullptr, std::move(Opts));
 }
 
 RunResult zam::runFull(const Program &P, MachineEnv &Env,
                        const std::function<void(Memory &)> &Prepare,
                        InterpreterOptions Opts) {
-  FullInterpreter I(P, Env, Opts);
+  FullInterpreter I(P, Env, std::move(Opts));
   if (Prepare)
     Prepare(I.memory());
   return I.run();
+}
+
+RunResult zam::runFull(const CompiledProgram &C, MachineEnv &Env,
+                       const std::function<void(Memory &)> &Prepare,
+                       RunOptions Opts) {
+  FullInterpreter I(C, Env, std::move(Opts));
+  if (Prepare)
+    Prepare(I.memory());
+  return I.run();
+}
+
+RunResult zam::runFull(const CompiledProgram &C, MachineEnv &Env,
+                       RunOptions Opts) {
+  return runFull(C, Env, nullptr, std::move(Opts));
 }

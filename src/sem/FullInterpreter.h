@@ -8,10 +8,15 @@
 /// \file
 /// The production engine for the full semantics: configurations
 /// ⟨c, m, E, G⟩ executed over the flat timing-IR (ir/Ir.h) by the shared
-/// execution core (sem/ExecCore.h). Construction lowers the program once —
-/// resolving variables to memory slots, code addresses, timing labels and
-/// attribution locations — and run() drives the core to completion in a
-/// tight program-counter loop. It charges exactly the same costs as the
+/// execution core (sem/ExecCore.h). Compilation and running are separate:
+/// a CompiledProgram (sem/CompiledProgram.h) holds the lowered tiers —
+/// variables resolved to memory slots, code addresses, timing labels and
+/// attribution locations — and the initial memory image, built once per
+/// (program, costs, policies); a FullInterpreter borrows one, starts from
+/// a copy of its image, and run() drives the core to completion in a
+/// tight program-counter loop. The constructor from a bare Program is the
+/// same path for a program run once: it compiles privately and moves the
+/// fresh image into the run. It charges exactly the same costs as the
 /// resumable small-step cursor (sem/StepInterpreter.h) — both execute the
 /// same IR through the same core, and the agreement is additionally
 /// checked cycle-for-cycle by the property-based tests.
@@ -31,6 +36,7 @@
 
 #include "hw/MachineEnv.h"
 #include "lang/Ast.h"
+#include "sem/CompiledProgram.h"
 #include "sem/CostModel.h"
 #include "sem/Event.h"
 #include "sem/Limits.h"
@@ -44,22 +50,21 @@
 namespace zam {
 
 class ExecCore;
-struct IrProgram;
-struct LirProgram;
+struct InterpreterOptions;
 
 /// Always false: the execution core has a single dispatch loop. Kept only
 /// because the layer ledger's build fingerprint prints it.
 bool threadedDispatchAvailable();
 
-/// Knobs shared by both full-semantics engines.
-struct InterpreterOptions {
-  CostModel Costs;
-  /// Which mitigation policy governs each mitigate site: a run-wide default
-  /// (fast-doubling when unset) plus optional per-η overrides. Lowering
-  /// resolves each mitigate instruction's policy from this selection, and
-  /// the same selection must be handed to the leakage accountant / trace
-  /// exporter so windows are priced by the policy that scheduled them.
-  PolicySelection Mitigation;
+/// The settings one run of a compiled program may choose: the Miss table,
+/// the step limit and the observers. Costs and policies are fixed by the
+/// CompiledProgram; InterpreterOptions (which adds them) converts to
+/// RunOptions only explicitly, through runOptions(), so a run can never
+/// be handed costs or policies other than the compiled ones.
+struct RunOptions {
+  RunOptions() = default;
+  RunOptions(const InterpreterOptions &) = delete;
+
   PenaltyPolicy Penalty = PenaltyPolicy::PerLevel;
   /// Bound on primitive evaluation steps (diverging-program safety net;
   /// rationale at the constant's definition).
@@ -93,6 +98,22 @@ struct InterpreterOptions {
   ExecProbe *Probe = nullptr;
 };
 
+/// Knobs for a program compiled and run in one go: the compile-time
+/// settings plus the per-run ones.
+struct InterpreterOptions : RunOptions {
+  CostModel Costs;
+  /// Which mitigation policy governs each mitigate site: a run-wide default
+  /// (fast-doubling when unset) plus optional per-η overrides. Lowering
+  /// resolves each mitigate instruction's policy from this selection, and
+  /// the same selection must be handed to the leakage accountant / trace
+  /// exporter so windows are priced by the policy that scheduled them.
+  PolicySelection Mitigation;
+
+  /// The per-run part, for running a program compiled with Costs and
+  /// Mitigation.
+  const RunOptions &runOptions() const { return *this; }
+};
+
 /// Outcome of a full-semantics run.
 struct RunResult {
   Memory FinalMemory;
@@ -108,12 +129,18 @@ struct RunResult {
 /// MachineEnv::clone()).
 ///
 /// Every non-Seq command in the program must carry complete [er,ew] labels
-/// (run type checking / label inference first); violations abort at
-/// construction, when the program is lowered.
+/// (run type checking / label inference first); violations abort when the
+/// program is compiled.
 class FullInterpreter {
 public:
+  /// Compiles \p P under Opts.Costs and Opts.Mitigation and prepares one
+  /// run of it; the run starts from the freshly built image.
   FullInterpreter(const Program &P, MachineEnv &Env,
                   InterpreterOptions Opts = InterpreterOptions());
+  /// Prepares one run of the shared program \p C (which must outlive the
+  /// interpreter) from a copy of its initial memory.
+  FullInterpreter(const CompiledProgram &C, MachineEnv &Env,
+                  RunOptions Opts = RunOptions());
   ~FullInterpreter();
   FullInterpreter(FullInterpreter &&) = delete;
 
@@ -128,26 +155,32 @@ public:
   uint64_t clock() const;
 
 private:
+  FullInterpreter(std::unique_ptr<CompiledProgram> Owned, MachineEnv &Env,
+                  const RunOptions &Opts);
+
   MachineEnv &Env;
-  InterpreterOptions Opts;
-  /// The lowered tiers; immutable and owned so the core's instruction
-  /// pointers stay valid for the interpreter's lifetime. The LIR borrows
-  /// the IR, so declaration order matters.
-  std::unique_ptr<IrProgram> IR;
-  std::unique_ptr<LirProgram> LIR;
+  /// The compiled program when this interpreter compiled it itself.
+  std::unique_ptr<CompiledProgram> Owned;
   std::unique_ptr<ExecCore> Core;
   bool Consumed = false;
 };
 
-/// Convenience wrapper: construct, run, and return the result.
+/// Convenience wrapper: compile, run, and return the result.
 RunResult runFull(const Program &P, MachineEnv &Env,
                   InterpreterOptions Opts = InterpreterOptions());
 
-/// Convenience wrapper: construct, poke experiment-specific inputs into the
+/// Convenience wrapper: compile, poke experiment-specific inputs into the
 /// initial memory via \p Prepare (may be null), run, and return the result.
 RunResult runFull(const Program &P, MachineEnv &Env,
                   const std::function<void(Memory &)> &Prepare,
                   InterpreterOptions Opts = InterpreterOptions());
+
+/// The same over a shared compiled program: each call runs from its own
+/// copy of \p C's image.
+RunResult runFull(const CompiledProgram &C, MachineEnv &Env,
+                  const std::function<void(Memory &)> &Prepare = nullptr,
+                  RunOptions Opts = RunOptions());
+RunResult runFull(const CompiledProgram &C, MachineEnv &Env, RunOptions Opts);
 
 } // namespace zam
 

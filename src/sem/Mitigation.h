@@ -229,9 +229,9 @@ struct MitigationPolicyInfo {
 const std::vector<MitigationPolicyInfo> &mitigationPolicyRegistry();
 
 /// Which policy governs each mitigate site: a run-wide default plus
-/// optional per-site (η-keyed) overrides. Carried by InterpreterOptions
-/// into lowering (where every mitigate instruction resolves its policy
-/// once) and by the leakage accountant / trace exporter (which must price
+/// optional per-site (η-keyed) overrides. Fixed when a CompiledProgram
+/// is built (lowering resolves every mitigate instruction's policy once)
+/// and carried by the leakage accountant / trace exporter (which must price
 /// each window with the policy that actually scheduled it). Pointers are
 /// borrowed; callers owning parsed policies keep the MitigationPolicyPtr
 /// handles alive for the selection's lifetime.

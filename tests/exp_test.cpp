@@ -9,12 +9,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Leakage.h"
+#include "apps/LoginApp.h"
 #include "exp/Harness.h"
 #include "exp/ParallelRunner.h"
 #include "exp/Report.h"
 #include "exp/Scenario.h"
 #include "obs/Json.h"
 #include "obs/Telemetry.h"
+#include "sem/TraceDump.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -359,6 +361,68 @@ TEST(Scenario, RunFullPrepareOverloadMatchesManualPoke) {
 
   EXPECT_EQ(RHook.T.FinalTime, RManual.T.FinalTime);
   EXPECT_EQ(RHook.T.Events.size(), RManual.T.Events.size());
+}
+
+/// Every observable of a run as bytes: the trace listing, the final
+/// memory, the Miss table, the clock and the hardware counters.
+static std::string runBytes(const RunResult &R, const SecurityLattice &Lat) {
+  std::string S = dumpTrace(R.T, Lat);
+  auto Num = [&S](int64_t V) { S += std::to_string(V) + ' '; };
+  for (const MemorySlot &Slot : R.FinalMemory.slots())
+    for (int64_t V : Slot.Data)
+      Num(V);
+  for (unsigned M : R.T.FinalMissTable)
+    Num(M);
+  Num(static_cast<int64_t>(R.T.FinalTime));
+  Num(static_cast<int64_t>(R.T.Steps));
+  for (const CacheLevelStats *L : {&R.Hw.L1D, &R.Hw.L2D, &R.Hw.L1I,
+                                   &R.Hw.L2I, &R.Hw.DTlb, &R.Hw.ITlb})
+    for (uint64_t V :
+         {L->Hits, L->Misses, L->Evictions, L->Writebacks, L->LineFills})
+      Num(static_cast<int64_t>(V));
+  return S;
+}
+
+TEST(Scenario, RunAllSharesOneCompiledProgramAcrossWorkers) {
+  // The scenario compiles the login program once; every worker borrows
+  // that one CompiledProgram (and copies its image) while poking its own
+  // request in. Under TSan this is the concurrent-reader check of the
+  // shared compiled form.
+  Rng TableRng(77);
+  const LoginTable Table = makeLoginTable(100, 10, TableRng);
+  LoginProgramConfig Config;
+  Config.Estimate1 = 900;
+  Config.Estimate2 = 900;
+  const Program P = buildLoginProgram(lh(), Table, Config);
+  const Scenario Scn(P, HwKind::Partitioned);
+
+  std::vector<RunSpec> Specs(64);
+  for (size_t I = 0; I != Specs.size(); ++I) {
+    const std::string User = I % 3 ? Table.ValidUsernames[I % 10]
+                                   : "ghost" + std::to_string(I);
+    const std::string Pass = "pass" + std::to_string(I % 10);
+    Specs[I].Prepare = [User, Pass](Memory &M) {
+      setLoginRequest(M, User, Pass);
+    };
+  }
+  auto AllBytes = [&](unsigned Threads) {
+    std::string S;
+    for (const RunResult &R : Scn.runAll(Specs, ParallelRunner(Threads)))
+      S += runBytes(R, lh()) + '\n';
+    return S;
+  };
+  const std::string At1 = AllBytes(1);
+  EXPECT_EQ(AllBytes(2), At1);
+  EXPECT_EQ(AllBytes(8), At1);
+  // The runs differ from one another, and after all of them a run still
+  // starts from the declarations' memory: none wrote into the image.
+  EXPECT_NE(runBytes(Scn.run(Specs[0]), lh()),
+            runBytes(Scn.run(Specs[1]), lh()));
+  Memory Start;
+  RunSpec Peek;
+  Peek.Prepare = [&Start](Memory &M) { Start = M; };
+  Scn.run(Peek);
+  EXPECT_TRUE(Start == Memory::fromProgram(P));
 }
 
 //===----------------------------------------------------------------------===//

@@ -505,3 +505,49 @@ TEST(HwClone, ClonesOfColdAndRandomizedTemplatesAgree) {
         EXPECT_TRUE(Template->stateEquals(*A));
       }
 }
+
+TEST(HwClone, CloneIntoUsedStorageIsAFreshClone) {
+  // cloneInto over storage that an earlier clone was driven in (its own
+  // design, another design, or none) yields exactly what clone() does.
+  const PowersetLattice Powerset({"Alice", "Bob"});
+  const SecurityLattice *Lats[] = {&lh(), &lmh(), &Powerset};
+  for (HwKind Kind : allHwKinds())
+    for (const SecurityLattice *Lat : Lats)
+      for (bool Randomized : {false, true}) {
+        SCOPED_TRACE(std::string(hwKindName(Kind)) + " over " +
+                     std::to_string(Lat->size()) + " levels" +
+                     (Randomized ? ", randomized" : ", cold"));
+        auto Template = createMachineEnv(Kind, *Lat, cfg());
+        if (Randomized) {
+          Rng R(0x5eed);
+          Template->randomize(R);
+          driveHwStream(*Template, 1);
+        }
+        struct : HwObserver {
+          void onAccess(const HwAccess &) override {}
+        } Listener;
+        auto Used = Template->clone();
+        driveHwStream(*Used, 3);
+        Used->setObserver(&Listener);
+        auto Other = createMachineEnv(
+            Kind == HwKind::Partitioned ? HwKind::NoFill : HwKind::Partitioned,
+            lmh(), cfg());
+        driveHwStream(*Other, 3);
+        for (std::unique_ptr<MachineEnv> *Storage : {&Used, &Other}) {
+          const MachineEnv *Before = Storage->get();
+          auto Copy = Template->cloneInto(std::move(*Storage));
+          EXPECT_EQ(Copy.get(), Before) << "storage not reused";
+          EXPECT_EQ(Copy->observer(), nullptr);
+          auto Fresh = Template->clone();
+          EXPECT_EQ(Copy->hwKind(), Kind);
+          EXPECT_TRUE(Copy->stateEquals(*Template));
+          EXPECT_EQ(Copy->stats(), Template->stats());
+          EXPECT_EQ(driveHwStream(*Copy, 2), driveHwStream(*Fresh, 2));
+          EXPECT_EQ(Copy->stats(), Fresh->stats());
+          EXPECT_TRUE(Copy->stateEquals(*Fresh));
+        }
+        auto FromNothing = Template->cloneInto(nullptr);
+        EXPECT_TRUE(FromNothing->stateEquals(*Template));
+        EXPECT_EQ(FromNothing->stats(), Template->stats());
+      }
+}
