@@ -41,7 +41,7 @@ SiteCost &CostLedger::site(unsigned Eta) {
   return S;
 }
 
-void CostLedger::chargeCycles(const CostCursor &Cur, CycleKind K, uint64_t N) {
+void CostLedger::onCycles(const CostCursor &Cur, CycleKind K, uint64_t N) {
   LineCost &C = line(Cur.Loc.Line);
   switch (K) {
   case CycleKind::Step:
@@ -58,7 +58,8 @@ void CostLedger::chargeCycles(const CostCursor &Cur, CycleKind K, uint64_t N) {
   }
 }
 
-void CostLedger::chargeAccess(const CostCursor &Cur, const HwAccess &Access) {
+void CostLedger::onAccess(const CostCursor &Cur, uint64_t Clock,
+                          const HwAccess &Access) {
   LineCost &C = line(Cur.Loc.Line);
   ++C.Accesses;
 
@@ -85,7 +86,8 @@ void CostLedger::chargeAccess(const CostCursor &Cur, const HwAccess &Access) {
   AddEvents(L2, Access.L2Events);
 }
 
-void CostLedger::closeWindow(const CostCursor &Cur, const MitigateRecord &R) {
+void CostLedger::onWindow(const CostCursor &Cur, const MitigateRecord &R,
+                          unsigned Epochs) {
   ++line(Cur.Loc.Line).Windows;
   SiteCost &S = site(R.Eta);
   S.Line = R.Line;

@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The data side of the source-level timing-provenance profiler: a CostSink
-/// (sem/Provenance.h) that both interpreters feed while running with
-/// InterpreterOptions::Provenance installed. Every cost event — step
-/// cycles, sleep cycles, mitigation padding, and each cache/TLB access with
-/// its hit/miss/eviction outcome — is charged to the source line under the
-/// attribution cursor, and padding/leakage additionally to the mitigate
-/// site (η) whose window produced it.
+/// The data side of the source-level timing-provenance profiler: a cost
+/// observer (RunObserver, sem/Provenance.h) that both interpreters feed
+/// while running with RunOptions::Provenance pointing at it. Every cost
+/// event — step cycles, sleep cycles, mitigation padding, and each
+/// cache/TLB access with its hit/miss/eviction outcome — is charged to the
+/// source line under the attribution cursor, and padding/leakage
+/// additionally to the mitigate site (η) whose window produced it.
 ///
 /// Invariants the profiler's self-check relies on (zamc profile aborts when
 /// they fail):
@@ -90,10 +90,10 @@ struct SiteCost {
   double LeakBits = 0;    ///< Σ window bits (adversary-projected).
 };
 
-/// Source-attribution ledger: implements the interpreter-facing CostSink
-/// and renders/exports the result. Lines and sites are keyed maps, so
-/// iteration order (and hence JSON/metric order) is deterministic.
-class CostLedger : public CostSink {
+/// Source-attribution ledger: observes a run's costs and renders/exports
+/// the result. Lines and sites are keyed maps, so iteration order (and
+/// hence JSON/metric order) is deterministic.
+class CostLedger : public RunObserver {
 public:
   /// Index space of LineCost::S and structureTotals(). The order is the
   /// canonical rendering order: data before instruction, caches before
@@ -102,10 +102,13 @@ public:
   static constexpr unsigned kStructures = 6;
   static const char *structureName(unsigned I);
 
-  // CostSink implementation (called by the interpreters).
-  void chargeCycles(const CostCursor &Cur, CycleKind K, uint64_t N) override;
-  void chargeAccess(const CostCursor &Cur, const HwAccess &Access) override;
-  void closeWindow(const CostCursor &Cur, const MitigateRecord &R) override;
+  // RunObserver implementation (called by the interpreters).
+  bool observesCosts() const override { return true; }
+  void onCycles(const CostCursor &Cur, CycleKind K, uint64_t N) override;
+  void onAccess(const CostCursor &Cur, uint64_t Clock,
+                const HwAccess &Access) override;
+  void onWindow(const CostCursor &Cur, const MitigateRecord &R,
+                unsigned Epochs) override;
 
   /// Replays \p Audit's counted windows into per-line / per-site leak bits.
   /// Call once, after the run settles; arrival order is the audit's own, so

@@ -63,9 +63,10 @@ void ExecProfile::onBranch(uint32_t Pc, bool Taken) {
     ++Pcs[Pc].NotTaken;
 }
 
-void ExecProfile::onSettle(unsigned Eta, unsigned Epochs) {
+void ExecProfile::onWindow(const CostCursor &, const MitigateRecord &R,
+                           unsigned Epochs) {
   for (SiteStat &S : Sites)
-    if (S.Eta == Eta) {
+    if (S.Eta == R.Eta) {
       S.SettleEpochs.add(Epochs);
       return;
     }

@@ -7,12 +7,12 @@
 ///
 /// \file
 /// The execution observatory: a deterministic self-profiler for the shared
-/// execution core (sem/ExecCore.h), implementing the ExecProbe interface
-/// declared in sem/Provenance.h. Where CostLedger attributes *simulated*
-/// cycles to source constructs, ExecProfile profiles the *engine itself* —
-/// exact per-pc execution counts, per-opcode dispatch totals, the dynamic
-/// opcode-digram (consecutive-pair) table, per-Branch taken/not-taken
-/// counts, and per-mitigate-site settle-epoch histograms.
+/// execution core (sem/ExecCore.h), observing runs through the RunObserver
+/// interface declared in sem/Provenance.h. Where CostLedger attributes
+/// *simulated* cycles to source constructs, ExecProfile profiles the
+/// *engine itself* — exact per-pc execution counts, per-opcode dispatch
+/// totals, the dynamic opcode-digram (consecutive-pair) table, per-Branch
+/// taken/not-taken counts, and per-mitigate-site settle-epoch histograms.
 ///
 /// Everything above is pure control-flow data, so it is bit-identical
 /// across the Full and Step engines, any thread partitioning of a run set
@@ -55,11 +55,12 @@ namespace zam {
 
 class MetricsRegistry;
 
-/// Deterministic ExecCore self-profiler; attach via InterpreterOptions::
-/// Probe. One instance may observe any number of sequential runs of the
+/// Deterministic ExecCore self-profiler; attach via RunOptions::Probe. It
+/// reads no costs, so a probe-only run keeps the cursor and the hardware
+/// hook off. One instance may observe any number of sequential runs of the
 /// same program (counts accumulate); concurrent runs each get their own
 /// instance, merged afterwards.
-class ExecProfile final : public ExecProbe {
+class ExecProfile final : public RunObserver {
 public:
   /// Number of IrInstr opcodes (the digram table is kNumOps x kNumOps).
   static constexpr unsigned kNumOps = 8;
@@ -114,11 +115,12 @@ public:
       : WallEpoch(WallEpoch ? WallEpoch : kDefaultWallEpoch),
         WallCountdown(this->WallEpoch) {}
 
-  // ExecProbe implementation (called by the core on its own thread).
+  // RunObserver implementation (called by the core on its own thread).
   void onProgram(const IrProgram &IR) override;
   void onDispatch(uint32_t Pc) override;
   void onBranch(uint32_t Pc, bool Taken) override;
-  void onSettle(unsigned Eta, unsigned Epochs) override;
+  void onWindow(const CostCursor &Cur, const MitigateRecord &R,
+                unsigned Epochs) override;
 
   uint64_t runs() const { return Runs; }
   uint64_t dispatches() const { return Dispatches; }

@@ -76,9 +76,9 @@ struct OpCounters {
 };
 
 /// One hardware access that missed somewhere in the hierarchy, recorded by
-/// the big-step engine when InterpreterOptions::RecordMisses is set. Time
-/// is the global clock at the start of the surrounding evaluation step (the
-/// per-access offset within a step is not modeled at the language level).
+/// either engine when RunOptions::RecordMisses is set. Time is the global
+/// clock at the start of the surrounding evaluation step (the per-access
+/// offset within a step is not modeled at the language level).
 struct AccessSample {
   Addr A = 0;
   uint64_t Time = 0;   ///< Clock at the start of the enclosing step.
@@ -89,7 +89,7 @@ struct AccessSample {
   bool L1Miss = false;
   bool L2Miss = false;
   /// Source line of the innermost construct performing the access (0 when
-  /// unknown); recorded only when a provenance sink is installed.
+  /// unknown).
   uint32_t Line = 0;
 
   bool operator==(const AccessSample &Other) const = default;
@@ -100,9 +100,8 @@ struct Trace {
   std::vector<AssignEvent> Events;
   std::vector<MitigateRecord> Mitigations;
   OpCounters Ops;
-  /// Miss timeline; populated only under InterpreterOptions::RecordMisses
-  /// (big-step engine only — never part of trace agreement or observation
-  /// keys).
+  /// Miss timeline; populated only under RunOptions::RecordMisses, by
+  /// either engine (never part of observation keys).
   std::vector<AccessSample> Misses;
   /// Miss[ℓ] for every lattice level at completion (index = label index).
   /// With the Global penalty policy every entry is the shared counter.

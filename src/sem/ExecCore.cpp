@@ -8,101 +8,44 @@ using namespace zam;
 
 bool zam::threadedDispatchAvailable() { return false; }
 
-int64_t zam::evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
-                        Label Read, Label Write, const CostModel &Costs,
-                        uint64_t &Cycles, CostCursor *Cur, int64_t *Stack) {
-  std::vector<int64_t> Local;
-  if (!Stack) {
-    Local.resize(E.MaxDepth ? E.MaxDepth : 1);
-    Stack = Local.data();
-  }
-  // The cursor narrows to each operation's effective location only for its
-  // own hardware access; the caller's location is restored on return (the
-  // LocScope discipline of the old AST walker).
-  SourceLoc Saved;
-  if (Cur)
-    Saved = Cur->Loc;
-
-  int64_t *SP = Stack;
-  for (const ExprOp &Op : E.Ops) {
-    switch (Op.K) {
-    case ExprOp::Kind::PushConst: // Immediate operand: free.
-      *SP++ = Op.Const;
-      break;
-    case ExprOp::Kind::LoadVar:
-      if (Cur)
-        Cur->Loc = Op.Loc;
-      Cycles += Env.dataAccess(Op.Base, /*IsStore=*/false, Read, Write);
-      *SP++ = M.slotAt(Op.Slot).Data[0];
-      break;
-    case ExprOp::Kind::LoadElem: {
-      uint64_t W = Memory::wrapRaw(SP[-1], Op.ElemCount);
-      if (Cur)
-        Cur->Loc = Op.Loc;
-      Cycles += Env.dataAccess(Op.Base + W * 8, /*IsStore=*/false, Read,
-                               Write);
-      Cycles += Costs.AluOp; // Address computation.
-      SP[-1] = M.slotAt(Op.Slot).Data[W];
-      break;
-    }
-    case ExprOp::Kind::Bin: {
-      int64_t R = *--SP;
-      SP[-1] = applyBinOp(Op.BinOp, SP[-1], R);
-      Cycles += Costs.AluOp;
-      break;
-    }
-    case ExprOp::Kind::Un:
-      SP[-1] = applyUnOp(Op.UnOp, SP[-1]);
-      Cycles += Costs.AluOp;
-      break;
-    }
-  }
-  if (Cur)
-    Cur->Loc = Saved;
-  return SP[-1];
-}
-
 ExecCore::ExecCore(const CompiledProgram &C, Memory InitM, MachineEnv &Env,
                    RunOptions Opts)
-    : Compiled(C), Env(Env), Opts(std::move(Opts)), Probe(this->Opts.Probe),
-      Prov(this->Opts.Provenance), BaseStepCost(C.costs().BaseStep),
+    : Compiled(C), Env(Env), BaseStepCost(C.costs().BaseStep),
       AluCost(C.costs().AluOp), BranchCost(C.costs().Branch),
-      StepLimit(this->Opts.StepLimit), M(std::move(InitM)),
-      OwnMitState(C.program().lattice(), C.mitigation().base(),
-                  this->Opts.Penalty),
-      MitState(this->Opts.SharedMitState ? *this->Opts.SharedMitState
-                                         : OwnMitState),
+      StepLimit(Opts.StepLimit), M(std::move(InitM)),
+      OwnMitState(C.program().lattice(), C.mitigation().base(), Opts.Penalty),
+      MitState(Opts.SharedMitState ? *Opts.SharedMitState : OwnMitState),
       Code(C.lir().Insts.data()), Uops(C.lir().Uops.data()),
-      TrackCursor(this->Opts.RecordMisses || this->Opts.Provenance != nullptr) {
+      Observers(Opts, T.Misses) {
   Regs.resize(C.lir().NumRegs ? C.lir().NumRegs : 1);
   SlotData.resize(M.slotCount());
   for (size_t I = 0; I != SlotData.size(); ++I)
     SlotData[I] = M.slotAt(I).Data.data();
   Frames.reserve(C.ir().MaxMitDepth);
-  if (Probe)
-    Probe->onProgram(C.ir());
+  Obs = Observers.resolved();
+  if (Obs) {
+    Obs->onProgram(C.ir());
+    ObservesCosts = Obs->observesCosts();
+  }
+  if (ObservesCosts) {
+    Displaced = Env.observer();
+    Env.setObserver(this);
+    Hooked = true;
+  }
   if (Code[PC].K == IrInstr::Op::Halt) {
     Halted = true;
     finalize();
   }
 }
 
-void ExecCore::onAccess(const HwAccess &Access) {
-  if (Prov)
-    Prov->chargeAccess(Cur, Access);
-  if (!Opts.RecordMisses || (!Access.TlbMiss && !Access.L1Miss))
+ExecCore::~ExecCore() { unhook(); }
+
+void ExecCore::unhook() {
+  if (!Hooked)
     return;
-  AccessSample S;
-  S.A = Access.A;
-  S.Time = G; // Clock at the start of the enclosing step.
-  S.Cycles = Access.Cycles;
-  S.IsData = Access.IsData;
-  S.IsStore = Access.IsStore;
-  S.TlbMiss = Access.TlbMiss;
-  S.L1Miss = Access.L1Miss;
-  S.L2Miss = Access.L2Miss;
-  S.Line = Cur.Loc.Line;
-  T.Misses.push_back(S);
+  Hooked = false;
+  if (Env.observer() == this)
+    Env.setObserver(Displaced);
 }
 
 void ExecCore::record(const MemorySlot &S, bool IsArray, uint64_t Index,
@@ -134,14 +77,14 @@ int64_t ExecCore::evalSpan(const LirInst &I, uint32_t U, uint32_t N,
       R[Op->Dst] = Op->Imm;
       break;
     case LirUop::K::Var:
-      if (TrackCursor)
+      if (ObservesCosts)
         Cur.Loc = Op->Loc;
       Cycles += Env.dataAccess(Op->Base, /*IsStore=*/false, I.Read, I.Write);
       R[Op->Dst] = SlotData[Op->Slot][0];
       break;
     case LirUop::K::Elem: {
       const uint64_t W = Memory::wrapRaw(R[Op->Dst], Op->Mod);
-      if (TrackCursor)
+      if (ObservesCosts)
         Cur.Loc = Op->Loc;
       Cycles += Env.dataAccess(Op->Base + W * 8, /*IsStore=*/false, I.Read,
                                I.Write);
@@ -162,8 +105,8 @@ int64_t ExecCore::evalSpan(const LirInst &I, uint32_t U, uint32_t N,
     Result = Op->Dst;
   }
   // Restore the cursor to the command before any post-evaluation costs
-  // (store access, step charge) — the LocScope discipline of evalIrExpr.
-  if (TrackCursor)
+  // (store access, step charge).
+  if (ObservesCosts)
     Cur.Loc = I.Loc;
   return R[Result];
 }
@@ -215,8 +158,8 @@ void ExecCore::execBranch(const LirInst &I) {
   const int64_t Guard = evalSpan(I, I.U0, I.N0, Cycles);
   charge(CycleKind::Step, Cycles);
   G += Cycles;
-  if (Probe)
-    Probe->onBranch(PC, Guard != 0);
+  if (Obs)
+    Obs->onBranch(PC, Guard != 0);
   PC = Guard != 0 ? I.Target : I.Next;
 }
 
@@ -256,34 +199,23 @@ void ExecCore::execMitEnd(const LirInst &I) {
   // the update rule and the padding to the final prediction.
   const MitFrame &F = Frames.back();
   const uint64_t Elapsed = G - F.Start;
-  const unsigned MissesBefore = Probe ? MitState.misses(F.Level) : 0;
+  const unsigned MissesBefore = Obs ? MitState.misses(F.Level) : 0;
   MitigationState::Outcome Out =
       MitState.settle(F.Estimate, F.Level, Elapsed, *F.Policy);
   G = F.Start + Out.Duration;
-  if (Probe)
-    Probe->onSettle(F.Eta, MitState.misses(F.Level) - MissesBefore);
 
-  MitigateRecord R;
-  R.Eta = F.Eta;
-  R.PcLabel = F.Pc;
-  R.Level = F.Level;
-  R.Estimate = F.Estimate;
-  R.Start = F.Start;
-  R.Duration = Out.Duration;
-  R.BodyTime = Elapsed;
-  R.Mispredicted = Out.Mispredicted;
-  R.MissesAfter = MitState.misses(R.Level);
-  R.Line = I.Loc.Line;
-  T.Mitigations.push_back(R);
-  if (Opts.OnMitigateWindow)
-    Opts.OnMitigateWindow(T.Mitigations.back());
+  const MitigateRecord &R = T.Mitigations.emplace_back(MitigateRecord{
+      .Eta = F.Eta, .PcLabel = F.Pc, .Level = F.Level,
+      .Estimate = F.Estimate, .Start = F.Start, .Duration = Out.Duration,
+      .BodyTime = Elapsed, .Mispredicted = Out.Mispredicted,
+      .MissesAfter = MitState.misses(F.Level), .Line = I.Loc.Line});
   // Padding attributes to the window's own site at the mitigate line,
-  // then the window closes and the site pops.
+  // then the window settles and the site pops.
   Cur.Site = F.Eta;
   if (Out.Duration > Elapsed)
     charge(CycleKind::Pad, Out.Duration - Elapsed);
-  if (Prov)
-    Prov->closeWindow(Cur, T.Mitigations.back());
+  if (Obs)
+    Obs->onWindow(Cur, R, R.MissesAfter - MissesBefore);
   Frames.pop_back();
   Cur.Site = Frames.empty() ? CostCursor::kNoSite : Frames.back().Eta;
   PC = I.Next;
@@ -340,6 +272,7 @@ void ExecCore::run() {
 }
 
 void ExecCore::finalize() {
+  unhook();
   T.FinalTime = G;
   T.FinalMissTable.clear();
   for (Label L : Compiled.program().lattice().allLabels())

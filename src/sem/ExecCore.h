@@ -22,9 +22,12 @@
 ///   - predictive mitigation windows (Fig. 6): a frame stack of open
 ///     mitigate sites, settled by MitEnd exactly like the paper's
 ///     MitigateEnd continuation;
-///   - CostSink attribution: the cursor (location + innermost open site)
-///     moves exactly as in the tree engines, so ledgers and miss samples
-///     are byte-for-byte identical.
+///   - observation: the run's observers, resolved once at construction
+///     into one RunObserver (sem/Provenance.h), see every dispatch,
+///     branch and settled window; when one of them reads costs, the core
+///     keeps the attribution cursor (location + innermost open site) up to
+///     date and hooks the machine environment for the run, restoring the
+///     displaced hook when it halts or is destroyed.
 ///
 /// step() executes exactly one logical transition (one instruction);
 /// run() is nothing but the step() loop, so the big-step and small-step
@@ -33,8 +36,7 @@
 ///
 /// The compiled program (sem/CompiledProgram.h) is immutable and shared;
 /// the core holds all run state, so engines stay thin wrappers that only
-/// decide when to call step()/run() and when to install the hardware
-/// observer.
+/// decide when to call step()/run().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,29 +58,15 @@
 
 namespace zam {
 
-/// Evaluates one lowered expression against \p M and \p Env under timing
-/// labels [\p Read, \p Write], accumulating data-access and ALU costs into
-/// \p Cycles. When \p Cur is set, the cursor narrows to each operation's
-/// effective location for its hardware access and is restored on return —
-/// the same attribution discipline the AST walker used. \p Stack must have
-/// at least E.MaxDepth capacity; pass nullptr to use a local buffer
-/// (tests/tools). This is the IR-tier reference evaluator; the execution
-/// core itself runs the register-transfer form.
-int64_t evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
-                   Label Read, Label Write, const CostModel &Costs,
-                   uint64_t &Cycles, CostCursor *Cur = nullptr,
-                   int64_t *Stack = nullptr);
-
 class ExecCore final : public HwObserver {
 public:
   /// Executes \p C (which must outlive the core) from initial memory
-  /// \p InitM on \p Env.
+  /// \p InitM on \p Env, reporting to the observers \p Opts names.
   ExecCore(const CompiledProgram &C, Memory InitM, MachineEnv &Env,
            RunOptions Opts);
-
-  /// Whether a hardware observer must be installed for this run (miss
-  /// sampling or a provenance sink listens).
-  bool observesHardware() const { return TrackCursor; }
+  ~ExecCore() override;
+  ExecCore(const ExecCore &) = delete;
+  ExecCore &operator=(const ExecCore &) = delete;
 
   /// Whether the configuration has reached ⟨stop, m, E, G⟩ (or the step
   /// limit).
@@ -105,12 +93,16 @@ public:
   }
 
 private:
-  /// HwObserver hook (installed by the owning engine): forwards accesses to
-  /// the provenance sink and samples misses under RecordMisses.
-  void onAccess(const HwAccess &Access) override;
+  /// The hardware hook, installed on Env while a cost observer listens:
+  /// forwards each access under the cursor and the step's start clock.
+  void onAccess(const HwAccess &Access) override {
+    Obs->onAccess(Cur, G, Access);
+  }
+  /// Restores the hook this core displaced from Env (once).
+  void unhook();
 
   /// Per-opcode bodies. Each begins with the shared dispatch head
-  /// (cursor + probe) and fully executes one logical transition.
+  /// (cursor + dispatch event) and fully executes one logical transition.
   void execSkip(const LirInst &I);
   void execAssign(const LirInst &I);
   void execStore(const LirInst &I);
@@ -126,17 +118,17 @@ private:
   void head(const LirInst &I) {
     // Attribution: every transition moves the cursor to its instruction's
     // source location before any of its costs (including the I-fetch).
-    if (TrackCursor)
+    if (ObservesCosts)
       Cur.Loc = I.Loc;
-    if (Probe)
-      Probe->onDispatch(PC);
+    if (Obs)
+      Obs->onDispatch(PC);
   }
   uint64_t stepBase(const LirInst &I) {
     return BaseStepCost + Env.fetch(I.CodeAddr, I.Read, I.Write);
   }
   void charge(CycleKind K, uint64_t N) {
-    if (Prov)
-      Prov->chargeCycles(Cur, K, N);
+    if (ObservesCosts)
+      Obs->onCycles(Cur, K, N);
   }
   /// Executes the micro-op span [\p U, \p U + \p N) of \p I and returns
   /// its value. Restores the cursor to the instruction's own location, so
@@ -162,13 +154,13 @@ private:
 
   const CompiledProgram &Compiled;
   MachineEnv &Env;
-  RunOptions Opts;
-  /// Hot copies of the per-dispatch option and cost fields: the dispatch
-  /// loop reads these every transition, and pulling them next to the rest
-  /// of the run state spares it the walk through the options block and the
-  /// compiled program.
-  ExecProbe *Probe;
-  CostSink *Prov;
+  /// The resolved observer (null when nothing listens) and whether it
+  /// reads costs; fixed at construction.
+  RunObserver *Obs = nullptr;
+  bool ObservesCosts = false;
+  /// Hot copies of the per-dispatch cost fields: the dispatch loop reads
+  /// these every transition, and pulling them next to the rest of the run
+  /// state spares it the walk through the compiled program.
   uint64_t BaseStepCost;
   uint64_t AluCost;
   uint64_t BranchCost;
@@ -182,9 +174,8 @@ private:
   uint64_t G = 0;
   uint32_t PC = 0;
   bool Halted = false;
-  /// Cursor maintenance is skipped when nothing observes it (no sink, no
-  /// miss sampling) — the cursor is only visible through those channels.
-  bool TrackCursor;
+  /// Cur.Loc is kept up to date only while ObservesCosts: cost events are
+  /// its only reader.
   CostCursor Cur;
   std::vector<MitFrame> Frames;
   std::vector<int64_t> Regs; ///< The micro-op register file (NumRegs).
@@ -193,6 +184,11 @@ private:
   /// through Memory::slotAt (they need the slot metadata for the event
   /// record anyway).
   std::vector<const int64_t *> SlotData;
+  /// The members behind Obs (declared after T, whose miss log it fills).
+  ObserverSet Observers;
+  /// The hook this core displaced from Env, while its own is installed.
+  bool Hooked = false;
+  HwObserver *Displaced = nullptr;
 };
 
 } // namespace zam

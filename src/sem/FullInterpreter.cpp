@@ -7,6 +7,20 @@
 
 using namespace zam;
 
+RunObserver::~RunObserver() = default;
+
+ObserverSet::ObserverSet(RunOptions &Opts, std::vector<AccessSample> &Log) {
+  Misses.Out = &Log;
+  Windows.Fn = std::move(Opts.OnMitigateWindow);
+  RunObserver *const MissObs = Opts.RecordMisses ? &Misses : nullptr;
+  RunObserver *const WindowObs = Windows.Fn ? &Windows : nullptr;
+  for (RunObserver *O : {Opts.Probe, Opts.Provenance, MissObs, WindowObs})
+    if (O) {
+      Members[Count++] = O;
+      ReadsCosts |= O->observesCosts();
+    }
+}
+
 FullInterpreter::FullInterpreter(const Program &P, MachineEnv &Env,
                                  InterpreterOptions Opts)
     : FullInterpreter(
@@ -36,17 +50,7 @@ RunResult FullInterpreter::run() {
     reportFatalError("FullInterpreter::run() called twice");
   Consumed = true;
 
-  // The core doubles as the hardware observer, but installing it costs a
-  // virtual call per access — only pay when someone listens.
-  const bool Observe = Core->observesHardware();
-  HwObserver *Prior = nullptr;
-  if (Observe) {
-    Prior = Env.observer();
-    Env.setObserver(Core.get());
-  }
   Core->run();
-  if (Observe)
-    Env.setObserver(Prior);
 
   RunResult R;
   R.FinalMemory = std::move(Core->memory());

@@ -46,6 +46,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 namespace zam {
 
@@ -61,6 +62,12 @@ bool threadedDispatchAvailable();
 /// CompiledProgram; InterpreterOptions (which adds them) converts to
 /// RunOptions only explicitly, through runOptions(), so a run can never
 /// be handed costs or policies other than the compiled ones.
+///
+/// The four observer fields (Probe, Provenance, RecordMisses,
+/// OnMitigateWindow) are one mechanism: the core resolves them once, at
+/// construction, into an ObserverSet (below) and reports through the
+/// RunObserver interface (sem/Provenance.h). Both engines apply the same
+/// rule, so every observer sees the same events under either.
 struct RunOptions {
   RunOptions() = default;
   RunOptions(const InterpreterOptions &) = delete;
@@ -75,27 +82,102 @@ struct RunOptions {
   /// state must be over the program's lattice; Penalty (and the selection's
   /// default policy) are ignored in favor of the shared state's own.
   MitigationState *SharedMitState = nullptr;
-  /// Record a per-access miss timeline into Trace::Misses (big-step engine
-  /// only; costs an observer callback per hardware access, so it is off by
-  /// default and enabled by the trace exporters).
+  /// Record a per-access miss timeline into Trace::Misses. A cost
+  /// observer, so it hooks the machine environment for the run (a virtual
+  /// call per access); off by default and enabled by the trace exporters.
   bool RecordMisses = false;
-  /// Invoked by both engines right after a mitigate window settles and its
-  /// record is appended to the trace. This is how the online leakage
-  /// accountant (obs/LeakAudit.h) observes windows without sem depending on
-  /// obs. Must be deterministic; called on the interpreter's thread.
+  /// Invoked right after a mitigate window settles, with the record just
+  /// appended to the trace. This is how the online leakage accountant
+  /// (obs/LeakAudit.h) observes windows without sem depending on obs.
+  /// Must be deterministic; called on the interpreter's thread.
   std::function<void(const MitigateRecord &)> OnMitigateWindow;
-  /// When set, both engines charge every cost event (step cycles, hardware
-  /// accesses, sleep and mitigation padding) to this sink tagged with the
-  /// current attribution cursor — the source profiler's data feed
-  /// (obs/CostLedger.h implements it). Installs the hardware observer for
-  /// the run like RecordMisses does. Not owned.
-  CostSink *Provenance = nullptr;
-  /// When set, both engines report every instruction dispatch, branch
-  /// direction, and mitigate-window settle to this probe — the engine
-  /// self-profiler's data feed (obs/ExecProfile.h implements it). Purely
-  /// observational: attaching a probe never changes costs, the trace, or
-  /// the leakage ledger. Not owned.
-  ExecProbe *Probe = nullptr;
+  /// The source profiler's feed (obs/CostLedger.h): an observer that
+  /// usually reads costs, each tagged with the attribution cursor. Not
+  /// owned.
+  RunObserver *Provenance = nullptr;
+  /// The engine self-profiler's feed (obs/ExecProfile.h): an observer that
+  /// usually reads only dispatches, branch directions and window settles,
+  /// so a probe-only run keeps the cursor and the hardware hook off. Not
+  /// owned.
+  RunObserver *Probe = nullptr;
+};
+
+/// One run's observers, resolved from its RunOptions. Each set field adds
+/// one member, in the order Probe, Provenance, RecordMisses (a log that
+/// appends every access missing somewhere in the hierarchy to the run's
+/// Trace::Misses), OnMitigateWindow (a forwarder to the callback). The
+/// set observes costs when any member does; it hands every event to every
+/// member in that order.
+class ObserverSet final : public RunObserver {
+public:
+  /// Moves \p Opts.OnMitigateWindow into the set; the miss log appends to
+  /// \p Log, which must outlive the set.
+  ObserverSet(RunOptions &Opts, std::vector<AccessSample> &Log);
+  ObserverSet(const ObserverSet &) = delete;
+  ObserverSet &operator=(const ObserverSet &) = delete;
+
+  /// The observer a core reports to: null when nothing listens (so an
+  /// unobserved run pays one branch per hook site), the member itself when
+  /// there is one, and the set otherwise.
+  RunObserver *resolved() {
+    return Count == 0 ? nullptr : Count == 1 ? Members[0] : this;
+  }
+
+  bool observesCosts() const override { return ReadsCosts; }
+  void onProgram(const IrProgram &IR) override {
+    each(&RunObserver::onProgram, IR);
+  }
+  void onDispatch(uint32_t Pc) override {
+    each(&RunObserver::onDispatch, Pc);
+  }
+  void onBranch(uint32_t Pc, bool Taken) override {
+    each(&RunObserver::onBranch, Pc, Taken);
+  }
+  void onCycles(const CostCursor &Cur, CycleKind K, uint64_t N) override {
+    each(&RunObserver::onCycles, Cur, K, N);
+  }
+  void onAccess(const CostCursor &Cur, uint64_t Clock,
+                const HwAccess &Access) override {
+    each(&RunObserver::onAccess, Cur, Clock, Access);
+  }
+  void onWindow(const CostCursor &Cur, const MitigateRecord &R,
+                unsigned Epochs) override {
+    each(&RunObserver::onWindow, Cur, R, Epochs);
+  }
+
+private:
+  /// Appends every access that missed somewhere to a trace's miss log.
+  struct MissLog final : RunObserver {
+    std::vector<AccessSample> *Out = nullptr;
+    bool observesCosts() const override { return true; }
+    void onAccess(const CostCursor &Cur, uint64_t Clock,
+                  const HwAccess &A) override {
+      if (A.TlbMiss || A.L1Miss)
+        Out->push_back({A.A, Clock, A.Cycles, A.IsData, A.IsStore, A.TlbMiss,
+                        A.L1Miss, A.L2Miss, Cur.Loc.Line});
+    }
+  };
+  /// Hands each settled window to a RunOptions::OnMitigateWindow callback.
+  struct WindowHook final : RunObserver {
+    std::function<void(const MitigateRecord &)> Fn;
+    void onWindow(const CostCursor &, const MitigateRecord &R,
+                  unsigned) override {
+      Fn(R);
+    }
+  };
+
+  /// Hands one event to every member, in order.
+  template <typename... Params, typename... Args>
+  void each(void (RunObserver::*Event)(Params...), const Args &...A) {
+    for (unsigned I = 0; I != Count; ++I)
+      (Members[I]->*Event)(A...);
+  }
+
+  MissLog Misses;
+  WindowHook Windows;
+  RunObserver *Members[4] = {};
+  unsigned Count = 0;
+  bool ReadsCosts = false;
 };
 
 /// Knobs for a program compiled and run in one go: the compile-time

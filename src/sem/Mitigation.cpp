@@ -2,8 +2,11 @@
 
 #include "sem/Mitigation.h"
 
+#include "sem/Provenance.h"
+
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -315,6 +318,26 @@ void PolicySelection::overrideSite(unsigned Eta, const MitigationPolicy &P) {
       PerSite.begin(), PerSite.end(), Eta,
       [](const auto &Entry, unsigned E) { return Entry.first < E; });
   PerSite.insert(It, {Eta, &P});
+}
+
+bool zam::parseSiteAssignment(const std::string &Text, unsigned &Eta,
+                              std::string &Spec, std::string *Error) {
+  const size_t Eq = Text.find('=');
+  const char *const End = Text.data() + (Eq == std::string::npos ? 0 : Eq);
+  unsigned Value = 0;
+  // For an unsigned target, from_chars takes digits only: no sign, no
+  // space, no base prefix.
+  const auto [Stop, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Eq == std::string::npos || Ec != std::errc() || Stop != End ||
+      Value == CostCursor::kNoSite) {
+    if (Error)
+      *Error = "expected ETA=SPEC with ETA a mitigate id below " +
+               std::to_string(CostCursor::kNoSite) + ", got '" + Text + "'";
+    return false;
+  }
+  Eta = Value;
+  Spec = Text.substr(Eq + 1);
+  return true;
 }
 
 bool PolicySelection::isDefaultOnly() const {

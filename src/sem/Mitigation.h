@@ -253,6 +253,14 @@ struct PolicySelection {
   bool isDefaultOnly() const;
 };
 
+/// Splits one ETA=SPEC site assignment (a `--mitigate-site` argument, or one
+/// entry of a trace meta's mitigation_sites list) into the mitigate id and
+/// the policy spec, which it leaves unparsed. ETA must be decimal digits
+/// only, fit in unsigned, and not be CostCursor::kNoSite (the "outside any
+/// window" sentinel). On failure returns false and sets \p Error.
+bool parseSiteAssignment(const std::string &Text, unsigned &Eta,
+                         std::string &Spec, std::string *Error = nullptr);
+
 /// How mispredictions penalize future predictions (Sec. 7 cites [38]):
 /// PerLevel keeps one Miss counter per security level (the paper's local
 /// policy); Global shares a single counter across all levels (coarser, the

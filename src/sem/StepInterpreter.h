@@ -63,12 +63,10 @@ public:
                   MachineEnv &Env, RunOptions Opts = RunOptions());
 
   /// Movable (the property checkers return engines by value). The core —
-  /// and with it the hardware-observer registration — lives behind a
-  /// stable pointer, so moving the wrapper is just a pointer handover.
-  StepInterpreter(StepInterpreter &&Other);
+  /// and with it the hardware hook it owns — lives behind a stable
+  /// pointer, so moving the wrapper is just a pointer handover.
+  StepInterpreter(StepInterpreter &&) = default;
   StepInterpreter &operator=(StepInterpreter &&) = delete;
-
-  ~StepInterpreter();
 
   /// Whether the configuration has reached ⟨stop, m, E, G⟩.
   bool done() const { return Core->done(); }
@@ -92,18 +90,10 @@ public:
   }
 
 private:
-  /// Registers the core as Env's observer when \p Provenance is set.
-  void installObserver(bool Provenance);
-
-  MachineEnv &Env;
   /// The compiled program when this engine compiled it itself (declared
   /// before Core, which borrows it).
   std::unique_ptr<CompiledProgram> Owned;
   std::unique_ptr<ExecCore> Core;
-  /// Whether this engine registered the core as Env's observer (only under
-  /// Opts.Provenance); the displaced observer is restored on destruction.
-  bool ObserverInstalled = false;
-  HwObserver *PriorObserver = nullptr;
 };
 
 } // namespace zam

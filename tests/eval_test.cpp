@@ -4,14 +4,15 @@
 #include "lang/StaticLabels.h"
 
 #include "hw/HardwareModels.h"
-#include "ir/Lowering.h"
-#include "sem/ExecCore.h"
 #include "lang/Parser.h"
 #include "lang/ProgramBuilder.h"
+#include "sem/FullInterpreter.h"
+#include "sem/StepInterpreter.h"
 #include "support/Casting.h"
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <functional>
 #include <limits>
 
 using namespace zam;
@@ -76,12 +77,16 @@ TEST(ApplyUnOp, AllOperators) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-Program exprProgram() {
+/// x, h and a[4] (plus a result variable r) around \p Body (skip when
+/// null).
+Program exprProgram(
+    const std::function<CmdPtr(const ProgramBuilder &)> &Body = nullptr) {
   ProgramBuilder B(lh());
   B.var("x", low(), 10);
   B.var("h", high(), 3);
+  B.var("r", high(), 0);
   B.array("a", low(), 4, {10, 20, 30, 40});
-  B.body(B.skip());
+  B.body(Body ? Body(B) : B.skip());
   return B.take();
 }
 } // namespace
@@ -110,52 +115,48 @@ TEST(EvalPure, NoShortCircuit) {
 }
 
 //===----------------------------------------------------------------------===//
-// Timed evaluation (lowered postfix form)
+// Timed evaluation (through the execution core)
 //===----------------------------------------------------------------------===//
 
+// A sleep step costs exactly its argument's evaluation plus the cycles it
+// idles (no fetch, no base cost), so stepping sleeps through the core
+// isolates the timed evaluation of one expression per step.
 TEST(EvalTimed, ChargesAluAndMemoryCosts) {
-  Program P = exprProgram();
-  Memory M = Memory::fromProgram(P, CostModel().DataBase);
+  Program P = exprProgram([](const ProgramBuilder &B) {
+    return B.seq(B.sleep(B.lit(5), low(), low()),
+                 B.sleep(B.v("x"), low(), low()),
+                 B.sleep(B.v("x"), low(), low()),
+                 B.sleep(B.add(B.v("x"), B.v("x")), low(), low()));
+  });
   auto Env = createMachineEnv(HwKind::NoPartition, lh(), MachineEnvConfig());
-  CostModel Costs;
+  StepInterpreter S(P, *Env);
+  // The evaluation cycles of the next step, whose sleep idles \p Idle.
+  auto EvalCycles = [&S](uint64_t Idle) {
+    const uint64_t Before = S.clock();
+    S.step();
+    return S.clock() - Before - Idle;
+  };
+  const uint64_t L1 = MachineEnvConfig().L1D.Latency;
 
-  // Literal: free.
-  uint64_t Cycles = 0;
-  ProgramBuilder B(lh());
-  IrExpr Lit = lowerExpr(*B.lit(5), P, Costs);
-  evalIrExpr(Lit, M, *Env, low(), low(), Costs, Cycles);
-  EXPECT_EQ(Cycles, 0u);
-
-  // Variable: one (cold) data access.
-  IrExpr X = lowerExpr(*B.v("x"), P, Costs);
-  Cycles = 0;
-  evalIrExpr(X, M, *Env, low(), low(), Costs, Cycles);
-  EXPECT_GT(Cycles, Costs.AluOp);
-
-  // Warm variable: L1 hit.
-  Cycles = 0;
-  evalIrExpr(X, M, *Env, low(), low(), Costs, Cycles);
-  EXPECT_EQ(Cycles, MachineEnvConfig().L1D.Latency);
-
+  EXPECT_EQ(EvalCycles(5), 0u);                 // Literal: free.
+  EXPECT_GT(EvalCycles(10), CostModel().AluOp); // Variable: one cold access.
+  EXPECT_EQ(EvalCycles(10), L1);                // Warm variable: L1 hit.
   // x + x (both warm): two hits + one ALU op.
-  IrExpr Sum = lowerExpr(*B.add(B.v("x"), B.v("x")), P, Costs);
-  Cycles = 0;
-  evalIrExpr(Sum, M, *Env, low(), low(), Costs, Cycles);
-  EXPECT_EQ(Cycles, 2 * MachineEnvConfig().L1D.Latency + Costs.AluOp);
+  EXPECT_EQ(EvalCycles(20), 2 * L1 + CostModel().AluOp);
+  EXPECT_TRUE(S.done());
 }
 
 TEST(EvalTimed, AgreesWithPureOnValues) {
-  Program P = exprProgram();
-  Memory M = Memory::fromProgram(P, CostModel().DataBase);
-  auto Env = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
   DiagnosticEngine Diags;
   Parser Pr("(x + a[1]) * 3 - (a[x] & h)", lh(), Diags);
   ExprPtr E = Pr.parseExprOnly();
   ASSERT_TRUE(E) << Diags.str();
-  IrExpr L = lowerExpr(*E, P, CostModel());
-  uint64_t Cycles = 0;
-  EXPECT_EQ(evalIrExpr(L, M, *Env, low(), low(), CostModel(), Cycles),
-            evalExprPure(*E, M));
+  const int64_t Pure = evalExprPure(*E, Memory::fromProgram(exprProgram()));
+  Program P = exprProgram([&E](const ProgramBuilder &B) {
+    return B.assign("r", std::move(E), low(), low());
+  });
+  auto Env = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+  EXPECT_EQ(runFull(P, *Env).FinalMemory.load("r"), Pure);
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,13 +3,18 @@
 // The fast big-step FullInterpreter and the literal small-step
 // StepInterpreter implement the same full semantics; these tests check
 // cycle-level agreement on hand-written and random programs across all
-// three hardware designs, plus the basic timing behaviors of the full
-// semantics themselves.
+// three hardware designs — unobserved, under each observer alone and under
+// all of them — plus the basic timing behaviors of the full semantics
+// themselves and the engines' handling of a displaced hardware hook.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/RandomProgram.h"
 #include "hw/HardwareModels.h"
+#include "obs/CostLedger.h"
+#include "obs/ExecProfile.h"
+#include "obs/LeakAudit.h"
+#include "obs/Metrics.h"
 #include "sem/FullInterpreter.h"
 #include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
@@ -27,26 +32,112 @@ Program inferred(std::string Source) {
   return P;
 }
 
+/// Which RunOptions observer fields one row of the observer table sets.
+struct ObserverRow {
+  const char *Name;
+  bool Probe = false, Provenance = false, RecordMisses = false,
+       OnWindow = false;
+};
+
+/// Unobserved, each observer alone, and all four together.
+const ObserverRow ObserverTable[] = {
+    {"none"},
+    {"probe", true},
+    {"provenance", false, true},
+    {"misses", false, false, true},
+    {"window", false, false, false, true},
+    {"all", true, true, true, true},
+};
+
+/// Everything one run and its observers produced.
+struct ObservedRun {
+  Trace T;
+  Memory FinalMemory;
+  std::string Exec;   ///< The profile's exec.* metrics.
+  std::string Ledger; ///< The ledger's canonical JSON.
+  double LeakBits = 0;
+  uint64_t LeakWindows = 0;
+};
+
+/// Runs \p P on \p Env under \p Row's observers through the big-step
+/// (\p Step false) or the small-step engine.
+ObservedRun runObserved(const Program &P, MachineEnv &Env,
+                        const ObserverRow &Row, bool Step) {
+  ExecProfile Prof;
+  CostLedger Ledger;
+  LeakAudit Audit(P.lattice(), std::nullopt, PolicySelection());
+  InterpreterOptions Opts;
+  if (Row.Probe)
+    Opts.Probe = &Prof;
+  if (Row.Provenance)
+    Opts.Provenance = &Ledger;
+  Opts.RecordMisses = Row.RecordMisses;
+  if (Row.OnWindow)
+    Opts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
+      Audit.onWindow(R);
+    };
+  ObservedRun O;
+  if (Step) {
+    StepInterpreter S(P, Env, Opts);
+    O.T = S.runToCompletion();
+    O.FinalMemory = S.memory();
+  } else {
+    RunResult R = runFull(P, Env, Opts);
+    O.T = std::move(R.T);
+    O.FinalMemory = std::move(R.FinalMemory);
+  }
+  MetricsRegistry Reg;
+  Prof.exportMetrics(Reg);
+  O.Exec = Reg.toJson().dump();
+  O.Ledger = Ledger.toJson().dump();
+  O.LeakBits = Audit.totalBitsBound();
+  for (Label L : P.lattice().allLabels())
+    O.LeakWindows += Audit.account(L).Windows;
+  return O;
+}
+
+/// For every row of the observer table, the two engines agree on the whole
+/// trace (miss log included), memory, hardware state, and what each
+/// observer recorded; and observing never changes the run itself.
 void expectEnginesAgree(const Program &P, HwKind Kind) {
-  auto Env1 = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
-  auto Env2 = Env1->clone();
+  auto Start = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+  Trace Unobserved;
+  for (const ObserverRow &Row : ObserverTable) {
+    SCOPED_TRACE(std::string(hwKindName(Kind)) + ", observers: " + Row.Name);
+    auto Env1 = Start->clone();
+    auto Env2 = Start->clone();
+    ObservedRun Fast = runObserved(P, *Env1, Row, /*Step=*/false);
+    ObservedRun Slow = runObserved(P, *Env2, Row, /*Step=*/true);
 
-  RunResult Fast = runFull(P, *Env1);
+    EXPECT_EQ(Fast.T.FinalTime, Slow.T.FinalTime);
+    EXPECT_EQ(Fast.T.Steps, Slow.T.Steps);
+    EXPECT_TRUE(Fast.FinalMemory == Slow.FinalMemory);
+    EXPECT_TRUE(Env1->stateEquals(*Env2));
+    ASSERT_EQ(Fast.T.Events.size(), Slow.T.Events.size());
+    for (size_t I = 0; I != Fast.T.Events.size(); ++I)
+      EXPECT_TRUE(Fast.T.Events[I] == Slow.T.Events[I]) << "event " << I;
+    ASSERT_EQ(Fast.T.Mitigations.size(), Slow.T.Mitigations.size());
+    for (size_t I = 0; I != Fast.T.Mitigations.size(); ++I)
+      EXPECT_TRUE(Fast.T.Mitigations[I] == Slow.T.Mitigations[I])
+          << "mitigation " << I;
+    EXPECT_EQ(Fast.T.Misses.size(), Slow.T.Misses.size());
+    EXPECT_TRUE(Fast.T == Slow.T);
+    EXPECT_EQ(Fast.Exec, Slow.Exec);
+    EXPECT_EQ(Fast.Ledger, Slow.Ledger);
+    EXPECT_EQ(Fast.LeakBits, Slow.LeakBits);
+    EXPECT_EQ(Fast.LeakWindows, Slow.LeakWindows);
 
-  StepInterpreter Slow(P, *Env2);
-  Trace SlowTrace = Slow.runToCompletion();
-
-  EXPECT_EQ(Fast.T.FinalTime, SlowTrace.FinalTime) << hwKindName(Kind);
-  EXPECT_EQ(Fast.T.Steps, SlowTrace.Steps);
-  EXPECT_TRUE(Fast.FinalMemory == Slow.memory());
-  EXPECT_TRUE(Env1->stateEquals(*Env2));
-  ASSERT_EQ(Fast.T.Events.size(), SlowTrace.Events.size());
-  for (size_t I = 0; I != Fast.T.Events.size(); ++I)
-    EXPECT_TRUE(Fast.T.Events[I] == SlowTrace.Events[I]) << "event " << I;
-  ASSERT_EQ(Fast.T.Mitigations.size(), SlowTrace.Mitigations.size());
-  for (size_t I = 0; I != Fast.T.Mitigations.size(); ++I)
-    EXPECT_TRUE(Fast.T.Mitigations[I] == SlowTrace.Mitigations[I])
-        << "mitigation " << I;
+    // Only the miss log may differ from the unobserved run.
+    if (!Row.RecordMisses) {
+      EXPECT_TRUE(Fast.T.Misses.empty());
+    }
+    Fast.T.Misses.clear();
+    if (&Row == &ObserverTable[0]) {
+      Unobserved = Fast.T;
+    } else {
+      EXPECT_TRUE(Fast.T == Unobserved);
+    }
+  }
 }
 } // namespace
 
@@ -128,6 +219,99 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, EngineAgreement,
                          [](const auto &Info) {
                            return std::string(hwKindName(Info.param));
                          });
+
+namespace {
+const char *const OneMitigate = "var h : H;\nvar l : L;\n"
+                                "mitigate (64, H) { sleep(h) @[H, H] };\n"
+                                "l := 1";
+
+/// Counts the accesses it is shown.
+class CountingObserver final : public HwObserver {
+public:
+  void onAccess(const HwAccess &) override { ++Seen; }
+  uint64_t Seen = 0;
+};
+
+/// Every access consults its L1 exactly once.
+uint64_t accesses(const HwStats &S) {
+  return S.L1D.Hits + S.L1D.Misses + S.L1I.Hits + S.L1I.Misses;
+}
+} // namespace
+
+TEST(ObserverTable, MissLogAloneIsRecordedByBothEngines) {
+  const ObserverRow &MissesOnly = ObserverTable[3];
+  ASSERT_TRUE(MissesOnly.RecordMisses && !MissesOnly.Provenance);
+  Program P = inferred(OneMitigate);
+  auto Env1 = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+  auto Env2 = Env1->clone();
+  ObservedRun Fast = runObserved(P, *Env1, MissesOnly, /*Step=*/false);
+  ObservedRun Slow = runObserved(P, *Env2, MissesOnly, /*Step=*/true);
+  EXPECT_FALSE(Fast.T.Misses.empty());
+  EXPECT_TRUE(Fast.T.Misses == Slow.T.Misses);
+}
+
+TEST(ObserverTable, AnyObserverAttachesThroughEitherField) {
+  // A new observer needs no engine change: a cost-reading RunObserver
+  // attached as the probe is fed exactly like one attached as provenance.
+  struct CostCounter final : RunObserver {
+    bool observesCosts() const override { return true; }
+    void onCycles(const CostCursor &, CycleKind, uint64_t N) override {
+      Cycles += N;
+    }
+    void onAccess(const CostCursor &, uint64_t, const HwAccess &) override {
+      ++Accesses;
+    }
+    uint64_t Cycles = 0, Accesses = 0;
+  };
+  Program P = inferred(OneMitigate);
+  for (bool AsProbe : {true, false}) {
+    auto Env = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+    CostCounter Counter;
+    InterpreterOptions Opts;
+    (AsProbe ? Opts.Probe : Opts.Provenance) = &Counter;
+    RunResult R = runFull(P, *Env, Opts);
+    EXPECT_EQ(Counter.Cycles, R.T.FinalTime) << AsProbe;
+    EXPECT_EQ(Counter.Accesses, accesses(R.Hw)) << AsProbe;
+  }
+}
+
+TEST(ObserverTable, DisplacedHardwareHookIsRestored) {
+  Program P = inferred(OneMitigate);
+  for (bool Step : {false, true})
+    for (const ObserverRow &Row : ObserverTable) {
+      SCOPED_TRACE(std::string(Step ? "step" : "full") + ", observers: " +
+                   Row.Name);
+      auto Env = createMachineEnv(HwKind::Partitioned, lh(),
+                                  MachineEnvConfig());
+      CountingObserver Counter;
+      Env->setObserver(&Counter);
+      runObserved(P, *Env, Row, Step);
+      EXPECT_EQ(Env->observer(), &Counter);
+      // A run with a cost observer hooks the env for its duration; any
+      // other run leaves the installed hook seeing every access.
+      const bool Hooks = Row.Provenance || Row.RecordMisses;
+      EXPECT_EQ(Counter.Seen, Hooks ? 0 : accesses(Env->stats()));
+      EXPECT_GT(accesses(Env->stats()), 0u);
+    }
+
+  // A small-step engine moved and destroyed before it halts restores the
+  // hook as well.
+  auto Env = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+  CountingObserver Counter;
+  Env->setObserver(&Counter);
+  {
+    CostLedger Ledger;
+    InterpreterOptions Opts;
+    Opts.Provenance = &Ledger;
+    StepInterpreter S(P, *Env, Opts);
+    S.step();
+    StepInterpreter Moved = std::move(S);
+    EXPECT_NE(Env->observer(), &Counter);
+    EXPECT_FALSE(Moved.done());
+  }
+  EXPECT_EQ(Env->observer(), &Counter);
+  EXPECT_EQ(Counter.Seen, 0u);
+}
 
 //===----------------------------------------------------------------------===//
 // Full-semantics timing behaviors

@@ -208,6 +208,41 @@ TEST(PolicySelection, PerSiteOverridesResolveByEta) {
   EXPECT_EQ(Sel.PerSite.size(), 1u);
 }
 
+TEST(PolicySelection, SiteAssignmentSplitsEtaAndSpec) {
+  unsigned Eta = 7;
+  std::string Spec, Err;
+  ASSERT_TRUE(parseSiteAssignment("0=linear", Eta, Spec, &Err)) << Err;
+  EXPECT_EQ(Eta, 0u);
+  EXPECT_EQ(Spec, "linear");
+  // The spec is left to parseMitigationPolicy, '=' and all.
+  ASSERT_TRUE(parseSiteAssignment("4294967294=bucketed:q=4", Eta, Spec));
+  EXPECT_EQ(Eta, CostCursor::kNoSite - 1);
+  EXPECT_EQ(Spec, "bucketed:q=4");
+}
+
+TEST(PolicySelection, SiteAssignmentRejectsMalformedEtas) {
+  for (const char *Bad : {
+           "4294967296=linear", // Past unsigned: would wrap to site 0.
+           "4294967295=linear", // CostCursor::kNoSite itself.
+           "99999999999999999999=linear",
+           "-1=linear",
+           " 0=linear",
+           "+0=linear",
+           "0x1=linear",
+           "1 =linear",
+           "=linear",
+           "linear",
+           "",
+       }) {
+    unsigned Eta = 7;
+    std::string Spec = "untouched", Err;
+    EXPECT_FALSE(parseSiteAssignment(Bad, Eta, Spec, &Err)) << Bad;
+    EXPECT_NE(Err.find("ETA=SPEC"), std::string::npos) << Bad;
+    EXPECT_EQ(Eta, 7u) << Bad;
+    EXPECT_EQ(Spec, "untouched") << Bad;
+  }
+}
+
 TEST(MitigationState, NoMispredictionLeavesMissUntouched) {
   MitigationState St(lh(), fastDoublingPolicy(), PenaltyPolicy::PerLevel);
   auto Out = St.settle(100, high(), 60);

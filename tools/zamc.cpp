@@ -134,6 +134,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -273,6 +274,14 @@ std::vector<std::string> splitCommas(const std::string &S) {
   return Out;
 }
 
+/// Parses the whole of \p S as a base-10 int64 (an optional '-', then
+/// digits; no space, no '+'). False on anything else, including overflow.
+bool parseInt64(const std::string &S, int64_t &Out) {
+  const char *const End = S.data() + S.size();
+  const auto [Stop, Ec] = std::from_chars(S.data(), End, Out);
+  return Ec == std::errc() && Stop == End;
+}
+
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   if (Argc < 3)
     return false;
@@ -314,11 +323,17 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       std::string Var = Assign.substr(0, Eq);
       if (Arg == "--set") {
-        Opts.Overrides.emplace_back(Var, std::stoll(Assign.substr(Eq + 1)));
+        int64_t Value = 0;
+        if (!parseInt64(Assign.substr(Eq + 1), Value))
+          return false;
+        Opts.Overrides.emplace_back(Var, Value);
       } else {
         std::vector<int64_t> Values;
         for (const std::string &Piece : splitCommas(Assign.substr(Eq + 1)))
-          Values.push_back(std::stoll(Piece));
+          if (!parseInt64(Piece, Values.emplace_back()))
+            return false;
+        if (Values.empty())
+          return false;
         Opts.Variations.emplace_back(Var, std::move(Values));
       }
     } else if (Arg == "--adversary") {
@@ -390,22 +405,18 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      std::string Assign = V;
-      size_t Eq = Assign.find('=');
-      if (Eq == std::string::npos || Eq == 0)
+      unsigned Eta = 0;
+      std::string Spec, Err;
+      if (!parseSiteAssignment(V, Eta, Spec, &Err)) {
+        std::fprintf(stderr, "error: --mitigate-site: %s\n", Err.c_str());
         return false;
-      char *End = nullptr;
-      unsigned long Eta = std::strtoul(Assign.c_str(), &End, 10);
-      if (End != Assign.c_str() + Eq)
-        return false;
-      std::string Err;
-      MitigationPolicyPtr P = parseMitigationPolicy(Assign.substr(Eq + 1),
-                                                    &Err);
+      }
+      MitigationPolicyPtr P = parseMitigationPolicy(Spec, &Err);
       if (!P) {
         std::fprintf(stderr, "error: %s\n", Err.c_str());
         return false;
       }
-      Opts.Mitigation.overrideSite(static_cast<unsigned>(Eta), *P);
+      Opts.Mitigation.overrideSite(Eta, *P);
       Opts.OwnedPolicies.push_back(std::move(P));
     } else if (Arg == "--seed") {
       const char *V = Next();
@@ -586,6 +597,42 @@ int checkProgram(Program &P, const Options &Opts, bool Verbose) {
   return 0;
 }
 
+/// The options of one observed zamc run: the policy selection, the miss log
+/// when --trace-out asks for a timeline, and the observers given (null ones
+/// stay detached).
+InterpreterOptions observedOptions(const Options &Opts, LeakAudit *Audit,
+                                   ExecProfile *Prof = nullptr,
+                                   CostLedger *Ledger = nullptr) {
+  InterpreterOptions IOpts;
+  IOpts.Mitigation = Opts.Mitigation;
+  IOpts.RecordMisses = !Opts.TraceOutPath.empty();
+  if (Audit)
+    IOpts.OnMitigateWindow = [Audit](const MitigateRecord &R) {
+      Audit->onWindow(R);
+    };
+  IOpts.Probe = Prof;
+  IOpts.Provenance = Ledger;
+  return IOpts;
+}
+
+/// Runs \p P once under \p IOpts, with the --set overrides stored into its
+/// initial memory, timed as the "run" phase. Diagnoses an override of an
+/// unknown variable and returns nullopt.
+std::optional<RunResult> runWithOverrides(Program &P, MachineEnv &Env,
+                                          const InterpreterOptions &IOpts,
+                                          const Options &Opts) {
+  FullInterpreter Interp(P, Env, IOpts);
+  for (const auto &[Var, Value] : Opts.Overrides) {
+    if (!Interp.memory().hasVar(Var)) {
+      std::fprintf(stderr, "error: no variable '%s' to set\n", Var.c_str());
+      return std::nullopt;
+    }
+    Interp.memory().store(Var, Value);
+  }
+  auto Scope = Phases.scope("run");
+  return Interp.run();
+}
+
 int cmdRun(Program &P, const Options &Opts, bool Timeline) {
   if (int Rc = checkProgram(P, Opts, /*Verbose=*/false))
     return Rc;
@@ -598,29 +645,17 @@ int cmdRun(Program &P, const Options &Opts, bool Timeline) {
   // interpreter hook — the same projection the trace exporter applies.
   LeakAudit Audit(P.lattice(), Adv, Opts.Mitigation);
   ExecProfile Prof;
-  InterpreterOptions IOpts;
-  IOpts.Mitigation = Opts.Mitigation;
-  IOpts.RecordMisses = !Opts.TraceOutPath.empty();
-  if (wantsTelemetry(Opts)) {
-    IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
-      Audit.onWindow(R);
-    };
-    IOpts.Probe = &Prof;
-  }
-  FullInterpreter Interp(P, *Env, IOpts);
-  for (const auto &[Var, Value] : Opts.Overrides) {
-    if (!Interp.memory().hasVar(Var)) {
-      std::fprintf(stderr, "error: no variable '%s' to set\n", Var.c_str());
-      return 1;
-    }
-    Interp.memory().store(Var, Value);
-  }
-  RunResult R = [&] {
-    auto Scope = Phases.scope("run");
-    return Interp.run();
-  }();
+  const bool Telemetry = wantsTelemetry(Opts);
+  std::optional<RunResult> Run = runWithOverrides(
+      P, *Env,
+      observedOptions(Opts, Telemetry ? &Audit : nullptr,
+                      Telemetry ? &Prof : nullptr),
+      Opts);
+  if (!Run)
+    return 1;
+  const RunResult &R = *Run;
 
-  if (wantsTelemetry(Opts)) {
+  if (Telemetry) {
     std::string ProfErr;
     if (!Prof.selfCheck(ProfErr)) {
       std::fprintf(stderr, "error: %s\n", ProfErr.c_str());
@@ -833,27 +868,14 @@ int cmdProfile(Program &P, const Options &Opts, const std::string &Source) {
   CostLedger Ledger;
   LeakAudit Audit(P.lattice(), Adv, Opts.Mitigation);
   ExecProfile Prof;
-  InterpreterOptions IOpts;
-  IOpts.Mitigation = Opts.Mitigation;
-  IOpts.Provenance = &Ledger;
-  if (wantsTelemetry(Opts))
-    IOpts.Probe = &Prof;
-  IOpts.RecordMisses = !Opts.TraceOutPath.empty();
-  IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
-    Audit.onWindow(R);
-  };
-  FullInterpreter Interp(P, *Env, IOpts);
-  for (const auto &[Var, Value] : Opts.Overrides) {
-    if (!Interp.memory().hasVar(Var)) {
-      std::fprintf(stderr, "error: no variable '%s' to set\n", Var.c_str());
-      return 1;
-    }
-    Interp.memory().store(Var, Value);
-  }
-  RunResult R = [&] {
-    auto Scope = Phases.scope("run");
-    return Interp.run();
-  }();
+  std::optional<RunResult> Run = runWithOverrides(
+      P, *Env,
+      observedOptions(Opts, &Audit, wantsTelemetry(Opts) ? &Prof : nullptr,
+                      &Ledger),
+      Opts);
+  if (!Run)
+    return 1;
+  const RunResult &R = *Run;
   Ledger.applyLeakage(Audit);
 
   if (!checkLedgerConservation(Ledger, R, Audit))
@@ -925,26 +947,13 @@ int cmdHot(Program &P, const Options &Opts) {
     return 1;
   LeakAudit Audit(P.lattice(), Adv, Opts.Mitigation);
   ExecProfile Prof;
-  InterpreterOptions IOpts;
-  IOpts.Mitigation = Opts.Mitigation;
-  IOpts.Probe = &Prof;
-  IOpts.RecordMisses = !Opts.TraceOutPath.empty();
-  if (wantsTelemetry(Opts))
-    IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
-      Audit.onWindow(R);
-    };
-  FullInterpreter Interp(P, *Env, IOpts);
-  for (const auto &[Var, Value] : Opts.Overrides) {
-    if (!Interp.memory().hasVar(Var)) {
-      std::fprintf(stderr, "error: no variable '%s' to set\n", Var.c_str());
-      return 1;
-    }
-    Interp.memory().store(Var, Value);
-  }
-  RunResult R = [&] {
-    auto Scope = Phases.scope("run");
-    return Interp.run();
-  }();
+  std::optional<RunResult> Run = runWithOverrides(
+      P, *Env,
+      observedOptions(Opts, wantsTelemetry(Opts) ? &Audit : nullptr, &Prof),
+      Opts);
+  if (!Run)
+    return 1;
+  const RunResult &R = *Run;
 
   // The observatory's books must balance before anything is reported —
   // a drift means the probe missed a dispatch, so it is a hard error
@@ -1149,16 +1158,11 @@ int cmdLeakage(Program &P, const Options &Opts) {
     std::fprintf(stderr, "leakage requires at least one --vary var=v1,v2\n");
     return 2;
   }
-  Label Adversary = Lat.bottom();
-  if (!Opts.Adversary.empty()) {
-    std::optional<Label> L = Lat.byName(Opts.Adversary);
-    if (!L) {
-      std::fprintf(stderr, "error: unknown level '%s'\n",
-                   Opts.Adversary.c_str());
-      return 2;
-    }
-    Adversary = *L;
-  }
+  bool AdvErr = false;
+  const std::optional<Label> Adv = adversaryLabel(Opts, Lat, AdvErr);
+  if (AdvErr)
+    return 2;
+  const Label Adversary = Adv.value_or(Lat.bottom());
 
   LeakageSpec Spec;
   Spec.Adversary = Adversary;
@@ -1190,15 +1194,7 @@ int cmdLeakage(Program &P, const Options &Opts) {
     // Counters and timeline of one representative run: the first secret
     // variation on a fresh environment.
     auto StatsEnv = createMachineEnv(Opts.Hw, Lat);
-    bool AdvErr = false;
-    LeakAudit Audit(Lat, adversaryLabel(Opts, Lat, AdvErr),
-                    Opts.Mitigation);
-    InterpreterOptions IOpts;
-    IOpts.Mitigation = Opts.Mitigation;
-    IOpts.RecordMisses = !Opts.TraceOutPath.empty();
-    IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &MR) {
-      Audit.onWindow(MR);
-    };
+    LeakAudit Audit(Lat, Adv, Opts.Mitigation);
     RunResult Rep = [&] {
       auto Scope = Phases.scope("run");
       return runFull(
@@ -1207,7 +1203,7 @@ int cmdLeakage(Program &P, const Options &Opts) {
             for (const auto &[Var, Value] : Spec.Variations.front().Scalars)
               M.store(Var, Value);
           },
-          IOpts);
+          observedOptions(Opts, &Audit));
     }();
     MetricsRegistry Reg;
     collectRunMetrics(Reg, Rep.T, Rep.Hw, Lat);
@@ -1256,23 +1252,19 @@ int cmdLeakage(Program &P, const Options &Opts) {
 int cmdAudit(Program &P, const Options &Opts) {
   const SecurityLattice &Lat = P.lattice();
   auto Env = createMachineEnv(Opts.Hw, Lat);
+  bool AdvErr = false;
+  const std::optional<Label> Adv = adversaryLabel(Opts, Lat, AdvErr);
+  if (AdvErr)
+    return 2;
 
   if (wantsTelemetry(Opts)) {
     // The audit itself runs random single commands, not the program; the
     // telemetry of record is one plain run of the program body.
     auto StatsEnv = createMachineEnv(Opts.Hw, Lat);
-    bool AdvErr = false;
-    LeakAudit Audit(Lat, adversaryLabel(Opts, Lat, AdvErr),
-                    Opts.Mitigation);
-    InterpreterOptions IOpts;
-    IOpts.Mitigation = Opts.Mitigation;
-    IOpts.RecordMisses = !Opts.TraceOutPath.empty();
-    IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &MR) {
-      Audit.onWindow(MR);
-    };
+    LeakAudit Audit(Lat, Adv, Opts.Mitigation);
     RunResult Rep = [&] {
       auto Scope = Phases.scope("run");
-      return runFull(P, *StatsEnv, IOpts);
+      return runFull(P, *StatsEnv, observedOptions(Opts, &Audit));
     }();
     MetricsRegistry Reg;
     collectRunMetrics(Reg, Rep.T, Rep.Hw, Lat);
@@ -1364,19 +1356,6 @@ int cmdAudit(Program &P, const Options &Opts) {
   if (!writeJsonIfRequested(Opts, Doc))
     return 1;
   return Pass ? 0 : 1;
-}
-
-/// Strict base-10 int64 parse for class-spec values.
-bool parseInt64(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
 }
 
 /// Parses one --class spec "NAME:var=V[,var=LO..HI]..." against the

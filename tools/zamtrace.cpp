@@ -339,24 +339,22 @@ struct PolicyResolver {
           Sites.substr(Pos, Comma == std::string::npos ? std::string::npos
                                                        : Comma - Pos);
       Pos = Comma == std::string::npos ? Sites.size() : Comma + 1;
-      const size_t Eq = Item.find('=');
-      char *End = nullptr;
-      const unsigned long Eta =
-          Eq == std::string::npos ? 0 : std::strtoul(Item.c_str(), &End, 10);
-      if (Eq == std::string::npos || End != Item.c_str() + Eq) {
+      unsigned Eta = 0;
+      std::string Spec;
+      if (!parseSiteAssignment(Item, Eta, Spec)) {
         std::fprintf(stderr,
                      "error: trace meta 'mitigation_sites' entry '%s' is "
                      "not ETA=SPEC\n",
                      Item.c_str());
         return false;
       }
-      const MitigationPolicy *P = intern(Item.substr(Eq + 1), &Err);
+      const MitigationPolicy *P = intern(Spec, &Err);
       if (!P) {
         std::fprintf(stderr, "error: trace meta 'mitigation_sites': %s\n",
                      Err.c_str());
         return false;
       }
-      Sel.overrideSite(static_cast<unsigned>(Eta), *P);
+      Sel.overrideSite(Eta, *P);
     }
     return true;
   }
